@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._explore import UnionFind
 from .mutation import ExchangeMatrix
 from .surface import MarkedSurface, validate_surface
 from .trimap import IdealTriangulation, Triangle
@@ -102,28 +103,17 @@ def validate_decomposition(d: BlockDecomposition):
         raise ValueError("blocks and bare vertices must cover every index")
     # pre-cancellation graph must be connected (bare-only components allowed
     # solely when nothing else exists)
-    comps = _components(d)
-    if len(comps) > 1:
+    if _component_count(d.n, d.blocks) > 1:
         raise ValueError("assembled graph is disconnected")
 
 
-def _components(d: BlockDecomposition):
-    parent = list(range(d.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pl in d.blocks:
-        a = pl.vertices[0]
+def _component_count(n: int, placements) -> int:
+    """Connected components of vertices 0..n-1 joined within each block."""
+    uf = UnionFind()
+    for pl in placements:
         for b in pl.vertices[1:]:
-            parent[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for v in range(d.n):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+            uf.union(pl.vertices[0], b)
+    return len({uf.find(v) for v in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +191,16 @@ class _Search:
                 assign = {a: u, b: v}
                 if not (self.can_use(u, a in outlets) and self.can_use(v, b in outlets)):
                     continue
-                self._complete(kind, size, outlets, edges, assign, out, seen)
+                if self._edges_feasible_partial(edges, assign):
+                    self._complete(kind, size, outlets, edges, assign, out, seen)
         return out
 
     def _complete(self, kind, size, outlets, edges, assign, out, seen):
+        # every assignment reaching here has passed _edges_feasible_partial
         free = [w for w in range(size) if w not in assign]
         if not free:
             pl = BlockPlacement(kind, tuple(assign[i] for i in range(size)))
-            if pl not in seen and self._edges_feasible(pl):
+            if pl not in seen:
                 seen.add(pl)
                 out.append(pl)
             return
@@ -225,11 +217,13 @@ class _Search:
             if not self.can_use(x, w in outlets):
                 continue
             assign[w] = x
-            if self._edges_feasible_partial(kind, edges, assign):
+            if self._edges_feasible_partial(edges, assign):
                 self._complete(kind, size, outlets, edges, assign, out, seen)
             del assign[w]
 
-    def _edges_feasible_partial(self, kind, edges, assign):
+    def _edges_feasible_partial(self, edges, assign):
+        # block edges between assigned vertices must leave every pair
+        # completable; with all vertices assigned this checks the placement
         add: dict[tuple[int, int], int] = {}
         for a, b in edges:
             if a in assign and b in assign:
@@ -242,24 +236,7 @@ class _Search:
                 return False
         return True
 
-    def _edges_feasible(self, pl: BlockPlacement):
-        _, _, edges = BLOCK_SPECS[pl.kind]
-        add: dict[tuple[int, int], int] = {}
-        for a, b in edges:
-            key = (pl.vertices[a], pl.vertices[b])
-            add[key] = add.get(key, 0) + 1
-        for (u, v), extra in add.items():
-            f = self.arrows.get((u, v), 0) + extra
-            g = self.arrows.get((v, u), 0)
-            if not _pair_feasible(f, g, self.B[u, v]):
-                return False
-        return True
-
     # -- search driver ------------------------------------------------------
-
-    def run(self, budget: int = 2_000_000) -> BlockDecomposition | None:
-        result = self._search(budget)
-        return result
 
     def _state_key(self):
         return (tuple(sorted(self.arrows.items())),
@@ -335,21 +312,6 @@ class _Search:
         if any(any(self.B[v, w] for w in range(self.n)) for v in uncovered):
             return None  # an edge-bearing vertex escaped coverage: dead end
 
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        for pl in self.blocks:
-            for b in pl.vertices[1:]:
-                union(pl.vertices[0], b)
-
         # isolated vertices pair up through cancelling I+I blocks (only
         # untouched vertices can host both usages of such a pair); a lone
         # leftover stays bare
@@ -360,12 +322,12 @@ class _Search:
             v = free.pop(0)
             joins.append(BlockPlacement("I", (u, v)))
             joins.append(BlockPlacement("I", (v, u)))
-            union(u, v)
         bare = tuple(free)
 
-        if len({find(v) for v in range(self.n)}) > 1:
+        placements = tuple(self.blocks) + tuple(joins)
+        if _component_count(self.n, placements) > 1:
             return None
-        return BlockDecomposition(self.n, tuple(self.blocks) + tuple(joins), bare)
+        return BlockDecomposition(self.n, placements, bare)
 
 
 def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition | None:
@@ -376,8 +338,7 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
     """
     if not B.entries_bounded_by(2):
         return None
-    search = _Search(B)
-    d = search.run(budget)
+    d = _Search(B)._search(budget)
     if d is None:
         return None
     validate_decomposition(d)
@@ -393,7 +354,7 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
 class _Assembler:
     def __init__(self):
         self.triangles: list[tuple[list[int], list[int]]] = []
-        self.vparent: dict[int, int] = {}
+        self.corners = UnionFind()  # vertices identified by gluing
         self._next_vertex = 0
         self._next_edge = 0
         self.edge_kind: dict[int, str] = {}
@@ -402,17 +363,7 @@ class _Assembler:
     def new_vertex(self):
         v = self._next_vertex
         self._next_vertex += 1
-        self.vparent[v] = v
         return v
-
-    def find(self, v):
-        while self.vparent[v] != v:
-            self.vparent[v] = self.vparent[self.vparent[v]]
-            v = self.vparent[v]
-        return v
-
-    def union(self, a, b):
-        self.vparent[self.find(a)] = self.find(b)
 
     def boundary_edge(self):
         e = self._next_edge
@@ -499,8 +450,8 @@ def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, Id
                              [asm.arc_edge(gv), asm.boundary_edge(), asm.boundary_edge()])
         elif len(slots) == 2:
             (_, _, a1, b1), (_, _, a2, b2) = slots
-            asm.union(a1, b2)
-            asm.union(b1, a2)
+            asm.corners.union(a1, b2)
+            asm.corners.union(b1, a2)
         else:
             raise ValueError(f"arc {gv} would have {len(slots)} slots")
 
@@ -513,7 +464,7 @@ def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, Id
     bcount = sum(1 for e, k in asm.edge_kind.items() if k == "boundary")
 
     def vid(v):
-        r = asm.find(v)
+        r = asm.corners.find(v)
         if r not in classes:
             classes[r] = len(classes)
             flags.append(True)

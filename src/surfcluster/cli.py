@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import blocks, cluster, finite_models, mutation, surface, tagged, trimap
@@ -96,7 +95,7 @@ def cmd_tagged_bfs(args, out) -> int:
     except (surface.ExcludedSurface, surface.EmptyMarking) as exc:
         return _fail("excluded-surface", str(exc), out)
     T0 = tagged.tag_with(trimap.initial_triangulation(s))
-    graph = tagged.exchange_graph_bfs(T0, max_nodes=args.max_nodes, threads=args.threads)
+    graph = tagged.exchange_graph_bfs(T0, max_nodes=args.max_nodes)
     if args.format == "dot":
         out.write(graph.to_dot() + "\n")
     else:
@@ -204,8 +203,6 @@ def cmd_clusters(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="surfcluster",
                                  description="cluster combinatorics of triangulated surfaces")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads for graph searches (default: SURFCLUSTER_THREADS or 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_surface = sub.add_parser("surface", help="surface-level queries")
@@ -278,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("--threads must be positive", file=sys.stderr)
-            return 2
-        os.environ["SURFCLUSTER_THREADS"] = str(args.threads)
     try:
         return args.func(args, out)
     except (surface.ExcludedSurface, surface.EmptyMarking) as exc:

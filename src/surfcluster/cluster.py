@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._explore import explore
 from .mutation import ExchangeMatrix, mutate
 
 
@@ -239,30 +240,14 @@ class VariableCensus:
 
 
 def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensus:
-    """BFS over seeds from the initial one, deduplicated by cluster multiset."""
+    """BFS over seeds from the initial one, deduplicated by cluster multiset.
+
+    At most `limit` seeds are visited; truncation follows `_explore.explore`.
+    """
     if limit < 1:
         raise ValueError("limit must be positive")
-    start = Seed.initial(B)
-    seen = {start.dedup_key()}
-    variables = {p for p in start.cluster}
-    frontier = [start]
-    complete = True
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for k in range(B.n):
-                s2 = mutate_seed(s, k)
-                key = s2.dedup_key()
-                if key in seen:
-                    continue
-                if len(seen) >= limit:
-                    complete = False
-                    continue
-                seen.add(key)
-                variables.update(s2.cluster)
-                nxt.append(s2)
-        frontier = nxt
-        if not complete:
-            break
+    seeds, _, complete = explore(
+        Seed.initial(B), lambda s: (mutate_seed(s, k) for k in range(B.n)), Seed.dedup_key, limit)
+    variables = {p for s in seeds for p in s.cluster}
     ordered = tuple(sorted(variables, key=lambda p: p.key()))
-    return VariableCensus(ordered, len(seen), complete)
+    return VariableCensus(ordered, len(seeds), complete)

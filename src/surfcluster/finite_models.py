@@ -308,9 +308,11 @@ def exchange_matrices(model: Model, clusters=None, edges=None):
     """Exchange matrix for every cluster, propagated from the root by
     matrix mutation along flip-graph edges.
 
-    Returns a dict cluster -> ExchangeMatrix whose row order matches the
-    cluster's sorted arc order; propagation along different paths must
-    agree, which is asserted.
+    Returns a dict cluster -> (arc order, ExchangeMatrix) whose rows follow
+    the arc order. That is propagation order, not the cluster's sorted
+    order: the root's sorted arcs, each flip putting the new arc where the
+    old one was. Propagation along different paths must agree up to
+    reordering, which is asserted.
     """
     if clusters is None or edges is None:
         clusters, edges = enumerate_clusters(model)

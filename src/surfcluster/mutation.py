@@ -12,6 +12,8 @@ import itertools
 import os
 from dataclasses import dataclass
 
+from ._explore import explore
+
 
 class IndexOutOfRange(ValueError):
     pass
@@ -269,33 +271,26 @@ class MutationClass:
 
 
 def mutation_class(B: ExchangeMatrix, max_size: int = 10000) -> MutationClass:
-    """Enumerate B's mutation class up to simultaneous permutation by BFS."""
+    """Enumerate B's mutation class up to simultaneous permutation by BFS.
+
+    The search expands canonical forms; a mutation with an entry beyond
+    ENTRY_CEILING ends it incomplete, as does the size cap (see
+    `_explore.explore`).
+    """
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    start = canonical_form(B)
-    seen = {start.rows}
-    frontier = [start]
-    complete = True
-    while frontier:
-        nxt = []
-        for M in frontier:
-            for k in range(M.n):
-                Mk = mutate(M, k)
-                if not Mk.entries_bounded_by(ENTRY_CEILING):
-                    complete = False
-                    continue
-                key = canonical_form(Mk).rows
-                if key not in seen:
-                    if len(seen) >= max_size:
-                        complete = False
-                        continue
-                    seen.add(key)
-                    nxt.append(ExchangeMatrix(key))
-        frontier = nxt
-        if not complete:
-            break
-    mats = tuple(ExchangeMatrix(rows) for rows in sorted(seen))
-    return MutationClass(matrices=mats, complete=complete, limit=max_size)
+
+    def moves(M):
+        for k in range(M.n):
+            Mk = mutate(M, k)
+            yield canonical_form(Mk) if Mk.entries_bounded_by(ENTRY_CEILING) else None
+
+    nodes, _, complete = explore(canonical_form(B), moves, _rows, max_size)
+    return MutationClass(matrices=tuple(sorted(nodes, key=_rows)), complete=complete, limit=max_size)
+
+
+def _rows(M: ExchangeMatrix):
+    return M.rows
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,12 @@ triangulations have equal representations.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import trimap
+from ._explore import explore
 from .mutation import ExchangeMatrix
-from .trimap import IdealTriangulation, flip, is_flippable, signed_adjacency
+from .trimap import IdealTriangulation, flip, signed_adjacency
 
 
 class ArcNotPresent(ValueError):
@@ -41,10 +40,6 @@ class TaggedTriangulation:
     @property
     def num_arcs(self) -> int:
         return self.base.num_arcs
-
-    def radius_pairs(self) -> dict[int, tuple[int, int]]:
-        """signature-0 puncture -> (plain radius label, notched radius label)."""
-        return {v: (fold, loop) for v, (fold, loop) in self.base.enclosed_punctures().items()}
 
     def tagged_ends(self) -> dict[int, list[tuple[int, int]]]:
         """puncture -> [(arc label, tag)] over all tagged arc ends at it."""
@@ -153,7 +148,7 @@ class FlipGraph:
 
     def to_json(self) -> dict:
         return {
-            "vertices": [_key_string(canonical_key(T)) for T in self.nodes],
+            "vertices": [repr(canonical_key(T)) for T in self.nodes],
             "edges": [list(e) for e in self.edges],
             "truncated": self.truncated,
         }
@@ -169,51 +164,16 @@ class FlipGraph:
         return "\n".join(lines)
 
 
-def _key_string(key) -> str:
-    return repr(key)
-
-
-def _thread_count() -> int:
-    return max(1, int(os.environ.get("SURFCLUSTER_THREADS", "1")))
-
-
-def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000,
-                       threads: int | None = None) -> FlipGraph:
+def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGraph:
     """BFS over tagged flips, deduplicating by canonical map encoding.
 
     The encoding quotients by arc relabeling with vertices and boundary
     segments pinned; on surfaces with infinitely many arcs this identifies
     triangulations related by mapping classes, which is what makes the
-    search finite there.
+    search finite there. Truncation follows `_explore.explore`.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
-    workers = threads if threads is not None else _thread_count()
-    nodes = [T0]
-    index = {canonical_key(T0): 0}
-    edges = set()
-    truncated = False
-    frontier = [0]
-    while frontier:
-        moves = [(i, k) for i in frontier for k in range(nodes[i].num_arcs)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                flipped = list(pool.map(lambda mv: tagged_flip(nodes[mv[0]], mv[1]), moves))
-        else:
-            flipped = [tagged_flip(nodes[i], k) for i, k in moves]
-        nxt = []
-        for (i, _), T2 in zip(moves, flipped):
-            key = canonical_key(T2)
-            j = index.get(key)
-            if j is None:
-                if len(nodes) >= max_nodes:
-                    truncated = True
-                    continue
-                j = len(nodes)
-                index[key] = j
-                nodes.append(T2)
-                nxt.append(j)
-            if j != i:
-                edges.add((min(i, j), max(i, j)))
-        frontier = nxt
-    return FlipGraph(tuple(nodes), tuple(sorted(edges)), truncated)
+    nodes, edges, complete = explore(
+        T0, lambda T: (tagged_flip(T, k) for k in range(T.num_arcs)), canonical_key, max_nodes)
+    return FlipGraph(tuple(nodes), tuple(edges), not complete)

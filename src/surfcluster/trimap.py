@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._explore import UnionFind, explore
 from .mutation import ExchangeMatrix
 from .surface import MarkedSurface
 
@@ -403,18 +404,8 @@ def _glued_polygon(bld: _Builder, g: int, b: int):
     if K < 3:
         raise InvalidTriangulation("polygon template needs at least 3 sides")
 
-    # union-find over template corners driven by the identifications
-    parent = list(range(K))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
+    # template corners identified by the glued sides
+    corners = UnionFind()
     first: dict[tuple, int] = {}
     for i, (kind, datum) in enumerate(word):
         if kind == "glue":
@@ -422,17 +413,17 @@ def _glued_polygon(bld: _Builder, g: int, b: int):
             if name in first:
                 j = first[name]
                 # side j runs P_j -> P_{j+1}; side i is the reversed copy
-                union(j, (i + 1) % K)
-                union((j + 1) % K, i)
+                corners.union(j, (i + 1) % K)
+                corners.union((j + 1) % K, i)
             else:
                 first[name] = i
 
     corner_vertex = {}
     for i in range(K):
-        root = find(i)
+        root = corners.find(i)
         if root not in corner_vertex:
             corner_vertex[root] = bld.new_vertex(False)
-    vs = [corner_vertex[find(i)] for i in range(K)]
+    vs = [corner_vertex[corners.find(i)] for i in range(K)]
 
     side_edge: dict[int, int] = {}
     first.clear()
@@ -674,32 +665,11 @@ def flip_graph_bfs(T0: IdealTriangulation, max_nodes: int = 1000, labeled: bool 
     canonical_key, matching the semantics of the tagged search.
 
     Returns (nodes, edges, truncated): nodes are triangulations in discovery
-    order, edges are index pairs.
+    order, edges are index pairs. Truncation follows `_explore.explore`.
     """
-    def key(T):
-        return T.normal_form() if labeled else canonical_key(T)
+    def moves(T):
+        return (flip(T, k) for k in T.arcs() if is_flippable(T, k))
 
-    nodes = [T0]
-    index = {key(T0): 0}
-    edges = set()
-    truncated = False
-    qi = 0
-    while qi < len(nodes):
-        T = nodes[qi]
-        for k in T.arcs():
-            if not is_flippable(T, k):
-                continue
-            T2 = flip(T, k)
-            k2 = key(T2)
-            j = index.get(k2)
-            if j is None:
-                if len(nodes) >= max_nodes:
-                    truncated = True
-                    continue
-                j = len(nodes)
-                index[k2] = j
-                nodes.append(T2)
-            if j != qi:
-                edges.add((min(qi, j), max(qi, j)))
-        qi += 1
-    return nodes, sorted(edges), truncated
+    key = IdealTriangulation.normal_form if labeled else canonical_key
+    nodes, edges, complete = explore(T0, moves, key, max_nodes)
+    return nodes, edges, not complete

@@ -139,6 +139,13 @@ def test_assemble_and_validate():
     )
     with pytest.raises(ValueError):
         bl.validate_decomposition(bad)
+    # two type-I blocks on disjoint vertex pairs leave the graph disconnected
+    apart = bl.BlockDecomposition(
+        4,
+        (bl.BlockPlacement("I", (0, 1)), bl.BlockPlacement("I", (2, 3))),
+    )
+    with pytest.raises(ValueError, match="disconnected"):
+        bl.validate_decomposition(apart)
 
 
 def test_atilde22_witnesses():

@@ -107,6 +107,11 @@ def test_block_assemble_cmd():
     assert code == 0
     assert data["matrix"]["rows"] == [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
     assert data["surface"] == {"genus": 0, "boundary": [6], "punctures": 0}
+    apart = {"n": 4, "blocks": [{"kind": "I", "vertices": [0, 1]},
+                                {"kind": "I", "vertices": [2, 3]}], "bare": []}
+    code, data = run(["block-assemble", json.dumps(apart)])
+    assert code == 1
+    assert data["error"] == "invalid-decomposition"
 
 
 def test_denominators_cmd():
@@ -136,10 +141,3 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
-
-
-def test_threads_flag():
-    code, data = run(["--threads", "2", "tagged-bfs",
-                      "--surface", '{"genus":0,"boundary":[3],"punctures":1}'])
-    assert code == 0
-    assert len(data["vertices"]) == 14

@@ -84,6 +84,16 @@ def test_infinite_type_truncates():
     assert len(census.variables) >= 20
 
 
+def test_capped_census_is_a_subset():
+    d4 = mu.make_quiver("D", 4)
+    full = cl.all_cluster_variables(d4, 2000)
+    assert full.complete and full.seeds_seen == 50
+    for cap in (1, 10, 49):
+        census = cl.all_cluster_variables(d4, cap)
+        assert not census.complete and census.seeds_seen == cap
+        assert set(census.variables) <= set(full.variables)
+
+
 def test_tropical_matches_symbolic_along_random_paths():
     rng = random.Random(5)
     for B in [A2, mu.make_quiver("A", 3), mu.from_edges(3, [(0, 1), (1, 2), (2, 0)]),

@@ -105,6 +105,15 @@ def test_mutation_class_triple_edge_truncates():
     assert not cls.complete
 
 
+def test_capped_mutation_class_is_a_subset():
+    full = mu.mutation_class(mu.make_quiver("E", 6))
+    assert full.complete and full.size == 67
+    for cap in (1, 10, 66):
+        cls = mu.mutation_class(mu.make_quiver("E", 6), cap)
+        assert not cls.complete and cls.size == cap
+        assert {m.rows for m in cls.matrices} <= {m.rows for m in full.matrices}
+
+
 def test_make_quiver_shapes():
     assert mu.make_quiver("A", 3).n == 3
     assert mu.make_quiver("D", 4).n == 4

@@ -153,8 +153,10 @@ def test_graph_exports():
     assert dot.startswith("graph") and dot.count("--") == 4
 
 
-def test_parallel_bfs_matches_serial():
-    G1 = graph((0, [3], 1))
-    G2 = tg.exchange_graph_bfs(start((0, [3], 1)), max_nodes=200, threads=4)
-    assert len(G1.nodes) == len(G2.nodes)
-    assert G1.edges == G2.edges
+def test_capped_bfs_is_a_prefix():
+    full = graph((0, [3], 1))
+    for cap in (1, 5, 13, 14):
+        G = graph((0, [3], 1), max_nodes=cap)
+        assert [tg.canonical_key(T) for T in G.nodes] == \
+            [tg.canonical_key(T) for T in full.nodes[:cap]]
+        assert G.truncated is (cap < 14)

@@ -98,6 +98,17 @@ def test_pentagon_five_cycle():
     assert len(nodes) == 5 and len(edges) == 5 and not trunc
 
 
+def test_capped_flip_graph_is_a_prefix():
+    s, T = build((0, [3], 1))
+    for labeled in (True, False):
+        full, _, trunc = tm.flip_graph_bfs(T, max_nodes=1000, labeled=labeled)
+        assert not trunc and len(full) > 5
+        for cap in (1, 5, len(full) - 1, len(full)):
+            nodes, _, trunc = tm.flip_graph_bfs(T, max_nodes=cap, labeled=labeled)
+            assert [n.to_json() for n in nodes] == [n.to_json() for n in full[:cap]]
+            assert trunc is (cap < len(full))
+
+
 def test_flip_mutation_commutation(battery_triangulations):
     for desc, (s, nodes) in battery_triangulations.items():
         for T in nodes[:12]:
