@@ -6,13 +6,13 @@ from __future__ import annotations
 
 
 def explore(start, moves, key, limit):
-    """Breadth-first search from `start`; returns (nodes, edges, complete).
+    """Breadth-first search from `start`; returns (nodes, keys, edges, complete).
 
     `moves(node)` yields the node's successors in move order and `key(node)`
     identifies nodes: the first node found under a key represents it. Nodes
-    are admitted in FIFO discovery order and numbered by admission; `edges`
-    is the sorted list of index pairs (i, j), i < j, of distinct nodes
-    joined by a move.
+    are admitted in FIFO discovery order and numbered by admission; `keys`
+    holds their keys in the same order, and `edges` is the sorted list of
+    index pairs (i, j), i < j, of distinct nodes joined by a move.
 
     Truncation: the search ends at the first refused successor, which is
     either a new key while `limit` nodes are held or a move that yields
@@ -25,17 +25,17 @@ def explore(start, moves, key, limit):
     for i, node in enumerate(nodes):  # the queue: admissions extend it
         for succ in moves(node):
             if succ is None:
-                return nodes, sorted(edges), False
+                return nodes, list(index), sorted(edges), False
             k = key(succ)
             j = index.get(k)
             if j is None:
                 if len(nodes) >= limit:
-                    return nodes, sorted(edges), False
+                    return nodes, list(index), sorted(edges), False
                 j = index[k] = len(nodes)
                 nodes.append(succ)
             if j != i:
                 edges.add((min(i, j), max(i, j)))
-    return nodes, sorted(edges), True
+    return nodes, list(index), sorted(edges), True
 
 
 class UnionFind:

@@ -246,7 +246,7 @@ def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensu
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    seeds, _, complete = explore(
+    seeds, _, _, complete = explore(
         Seed.initial(B), lambda s: (mutate_seed(s, k) for k in range(B.n)), Seed.dedup_key, limit)
     variables = {p for s in seeds for p in s.cluster}
     ordered = tuple(sorted(variables, key=lambda p: p.key()))

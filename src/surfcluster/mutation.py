@@ -285,7 +285,7 @@ def mutation_class(B: ExchangeMatrix, max_size: int = 10000) -> MutationClass:
             Mk = mutate(M, k)
             yield canonical_form(Mk) if Mk.entries_bounded_by(ENTRY_CEILING) else None
 
-    nodes, _, complete = explore(canonical_form(B), moves, _rows, max_size)
+    nodes, _, _, complete = explore(canonical_form(B), moves, _rows, max_size)
     return MutationClass(matrices=tuple(sorted(nodes, key=_rows)), complete=complete, limit=max_size)
 
 

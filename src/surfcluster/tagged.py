@@ -11,11 +11,12 @@ triangulations have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import trimap
 from ._explore import explore
 from .mutation import ExchangeMatrix
-from .trimap import IdealTriangulation, flip, signed_adjacency
+from .trimap import IdealTriangulation, Triangle, _flipped_triangles, signed_adjacency
 
 
 class ArcNotPresent(ValueError):
@@ -62,6 +63,11 @@ class TaggedTriangulation:
         # exactly one slot start over the arc's two slots
         return out
 
+    @cached_property
+    def _flip_data(self):
+        """(tagged ends, fold arc -> enclosing loop): what every flip of self reads."""
+        return self.tagged_ends(), self.base.fold_map()
+
     def to_json(self) -> dict:
         data = self.base.to_json()
         data["signature"] = {str(v): s for v, s in self.signatures}
@@ -102,13 +108,13 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
     puncture flips through the enclosing loop. Tags of the completion come
     from signs(a) = sign of the remaining tags at a (+1 where ambiguous), and
     fold/loop labels are swapped wherever signs = -1 to restore the storage
-    convention.
+    convention. Both relabelings are applied to the flipped triangle list
+    before it is validated, once.
     """
     base = T.base
     if not base.is_arc(k):
         raise ArcNotPresent(f"{k} is not an arc of this tagged triangulation")
-
-    ends = T.tagged_ends()
+    ends, fold_of = T._flip_data
     signs: dict[int, int] = {}
     for v, lst in ends.items():
         remaining = {tag for (e, tag) in lst if e != k}
@@ -116,23 +122,23 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
             raise ArcNotPresent(f"puncture {v} would lose all its tagged ends")
         signs[v] = PLAIN if remaining == {PLAIN} else NOTCHED if remaining == {NOTCHED} else PLAIN
 
-    fold_of = {fold: loop for fold, loop in base.fold_map().items()}
     flip_edge = fold_of.get(k, k)
-    M2 = flip(base, flip_edge)
-    if flip_edge != k:
-        # new diagonal must carry k; the surviving old fold becomes the loop's label
-        M2 = M2.relabel_arcs({flip_edge: k, k: flip_edge})
-
-    swaps: dict[int, int] = {}
-    for v, (fold, loop) in M2.enclosed_punctures().items():
-        if signs[v] == NOTCHED:
-            swaps[fold] = loop
-            swaps[loop] = fold
-    if swaps:
-        M2 = M2.relabel_arcs(swaps)
-
-    enclosed2 = M2.enclosed_punctures()
-    sig2 = tuple(sorted((v, 0 if v in enclosed2 else signs[v]) for v in signs))
+    tris = _flipped_triangles(base, flip_edge)
+    # the new diagonal must carry k; the surviving old fold becomes the loop's label
+    perm = {flip_edge: k, k: flip_edge} if flip_edge != k else {}
+    enclosed = set()
+    for tri in tris:
+        fd = tri.fold_data()
+        if fd is not None:
+            fold, loop, corner = fd
+            v = tri.vertices[corner]
+            enclosed.add(v)
+            if signs[v] == NOTCHED:  # fold and loop trade their final labels
+                perm[fold], perm[loop] = perm.get(loop, loop), perm.get(fold, fold)
+    if perm:
+        tris = [Triangle(t.vertices, tuple(perm.get(e, e) for e in t.edges)) for t in tris]
+    M2 = IdealTriangulation(base.surface, tris, base.num_arcs, base.num_boundary, base.puncture_flags)
+    sig2 = tuple(sorted((v, 0 if v in enclosed else signs[v]) for v in signs))
     return TaggedTriangulation(M2, sig2)
 
 
@@ -145,10 +151,11 @@ class FlipGraph:
     nodes: tuple[TaggedTriangulation, ...]
     edges: tuple[tuple[int, int], ...]
     truncated: bool
+    keys: tuple[tuple, ...]  # canonical_key of each node, as the search computed it
 
     def to_json(self) -> dict:
         return {
-            "vertices": [repr(canonical_key(T)) for T in self.nodes],
+            "vertices": [repr(key) for key in self.keys],
             "edges": [list(e) for e in self.edges],
             "truncated": self.truncated,
         }
@@ -174,6 +181,12 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
-    nodes, edges, complete = explore(
-        T0, lambda T: (tagged_flip(T, k) for k in range(T.num_arcs)), canonical_key, max_nodes)
-    return FlipGraph(tuple(nodes), tuple(edges), not complete)
+
+    def moves(T):
+        # a copy per expansion caches the flip data for its flips and is then
+        # dropped, so admitted nodes do not keep it
+        T = TaggedTriangulation(T.base, T.signatures)
+        return (tagged_flip(T, k) for k in range(T.num_arcs))
+
+    nodes, keys, edges, complete = explore(T0, moves, canonical_key, max_nodes)
+    return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))

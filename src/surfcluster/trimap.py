@@ -538,9 +538,17 @@ def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
     newly created self-folded triangles) need no special cases. The new arc
     reuses id k.
     """
-    if not is_flippable(T, k):
-        raise NotFlippable(f"arc {k} is the fold of a self-folded triangle")
+    return IdealTriangulation(T.surface, _flipped_triangles(T, k), T.num_arcs, T.num_boundary,
+                              T.puncture_flags)
+
+
+def _flipped_triangles(T: IdealTriangulation, k: int) -> list[Triangle]:
+    """The triangle list of `flip(T, k)`, not yet validated as a triangulation."""
+    if not T.is_arc(k):
+        raise UnknownArc(f"{k} is not an arc of this triangulation")
     (t1, i1), (t2, i2) = T.arc_slots(k)
+    if t1 == t2:
+        raise NotFlippable(f"arc {k} is the fold of a self-folded triangle")
     tri1, tri2 = T.triangles[t1], T.triangles[t2]
     A = tri1.vertices[i1]
     Bv = tri1.vertices[(i1 + 1) % 3]
@@ -550,12 +558,10 @@ def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
     y = tri1.edges[(i1 + 2) % 3]
     z = tri2.edges[(i2 + 1) % 3]
     w = tri2.edges[(i2 + 2) % 3]
-    new1 = Triangle((C, A, D), (y, z, k))
-    new2 = Triangle((D, Bv, C), (w, x, k))
     tris = list(T.triangles)
-    tris[t1] = new1
-    tris[t2] = new2
-    return IdealTriangulation(T.surface, tris, T.num_arcs, T.num_boundary, T.puncture_flags)
+    tris[t1] = Triangle((C, A, D), (y, z, k))
+    tris[t2] = Triangle((D, Bv, C), (w, x, k))
+    return tris
 
 
 # ---------------------------------------------------------------------------
@@ -602,58 +608,66 @@ def signature(T: IdealTriangulation) -> dict[int, int]:
 def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     """Canonical encoding up to arc relabeling (vertices and boundary fixed).
 
-    Deterministic traversal from every (triangle, rotation) start; arcs are
-    numbered in discovery order, the minimum serialization wins. Extra data
-    (e.g. tag signatures) is appended verbatim.
+    A serialization walks the triangles breadth-first from a start slot,
+    reading each triangle counterclockwise from the slot it was entered by
+    and crossing arcs in that order. Each slot contributes its edge code and
+    the vertex it starts at: arcs are numbered 0, 1, ... in order of first
+    sight, boundary segments keep their ids (which are >= num_arcs). Extra
+    data (e.g. tag signatures) is appended verbatim.
+
+    Starts depend only on pinned ids: on a surface with boundary the one
+    slot of boundary segment num_arcs; on a closed surface every corner at
+    vertex 0 (always a puncture there), taking the least serialization.
+    The walk reaches every triangle (the surface is connected), so equal
+    serializations from two starts identify the two maps by an isomorphism
+    that fixes every vertex and boundary id and renames arcs; conversely
+    such a renaming carries each start set onto the other's. So keys agree
+    exactly when one triangulation is an arc relabeling of the other.
     """
     tris = T.triangles
-    F = len(tris)
     n = T.num_arcs
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for t, tri in enumerate(tris):
-        for i in range(3):
-            slots.setdefault(tri.edges[i], []).append((t, i))
-    for e, occ in slots.items():
-        if T.is_arc(e):
-            (t1, i1), (t2, i2) = occ
-            partner[(t1, i1)] = (t2, i2)
-            partner[(t2, i2)] = (t1, i1)
+    edges = [e for tri in tris for e in tri.edges]  # slot 3t + i is side i of triangle t
+    verts = [v for tri in tris for v in tri.vertices]
+    partner = [0] * len(edges)
+    first = {}
+    for s, e in enumerate(edges):
+        if e < n:
+            o = first.pop(e, None)
+            if o is None:
+                first[e] = s
+            else:
+                partner[o], partner[s] = s, o
+    if T.num_boundary:
+        starts = [edges.index(n)]
+    else:
+        starts = [s for s, v in enumerate(verts) if v == 0]
 
     best = None
-    for t0 in range(F):
-        for r0 in range(3):
-            arcnum: dict[int, int] = {}
-            out = []
-            visited = {t0}
-            queue = [(t0, r0)]
-            qi = 0
-            while qi < len(queue):
-                t, r = queue[qi]
-                qi += 1
-                tri = tris[t]
-                row = []
-                for idx in range(3):
-                    sl = (r + idx) % 3
-                    e = tri.edges[sl]
-                    if T.is_arc(e):
-                        if e not in arcnum:
-                            arcnum[e] = len(arcnum)
-                        row.append((0, arcnum[e], tri.vertices[sl]))
-                    else:
-                        row.append((1, e, tri.vertices[sl]))
-                out.append(tuple(row))
-                for idx in range(3):
-                    sl = (r + idx) % 3
-                    e = tri.edges[sl]
-                    if T.is_arc(e):
-                        t2, i2 = partner[(t, sl)]
-                        if t2 not in visited:
-                            visited.add(t2)
-                            queue.append((t2, i2))
-            cand = tuple(out)
-            if best is None or cand < best:
-                best = cand
+    for s0 in starts:
+        arcnum = {}
+        out = []
+        visited = [False] * len(tris)
+        visited[s0 // 3] = True
+        queue = [s0]
+        for s in queue:  # admissions extend the queue
+            r = s % 3
+            for sl in (s, s - r + (r + 1) % 3, s - r + (r + 2) % 3):
+                e = edges[sl]
+                if e < n:
+                    num = arcnum.get(e)
+                    if num is None:
+                        num = arcnum[e] = len(arcnum)
+                    out.append(num)
+                    t2 = partner[sl] // 3
+                    if not visited[t2]:
+                        visited[t2] = True
+                        queue.append(partner[sl])
+                else:
+                    out.append(e)
+                out.append(verts[sl])
+        cand = tuple(out)
+        if best is None or cand < best:
+            best = cand
     return (best, tuple(extra))
 
 
@@ -671,5 +685,5 @@ def flip_graph_bfs(T0: IdealTriangulation, max_nodes: int = 1000, labeled: bool 
         return (flip(T, k) for k in T.arcs() if is_flippable(T, k))
 
     key = IdealTriangulation.normal_form if labeled else canonical_key
-    nodes, edges, complete = explore(T0, moves, key, max_nodes)
+    nodes, _, edges, complete = explore(T0, moves, key, max_nodes)
     return nodes, edges, not complete

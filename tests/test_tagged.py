@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -160,3 +161,70 @@ def test_capped_bfs_is_a_prefix():
         assert [tg.canonical_key(T) for T in G.nodes] == \
             [tg.canonical_key(T) for T in full.nodes[:cap]]
         assert G.truncated is (cap < 14)
+
+
+@pytest.mark.parametrize("desc", [(0, [3], 1), (0, [2], 2), (0, [1, 1], 1), (1, [], 2), (0, [], 4)])
+def test_key_equality_is_arc_relabeling(desc):
+    # brute force over all arc permutations: keys agree exactly when one
+    # triangulation is an arc relabeling of the other (boundary start on the
+    # bordered surfaces, vertex-0 corners on the closed ones)
+    s = sf.validate_surface(*desc)
+    T0 = tm.initial_triangulation(s)
+    perms = list(itertools.permutations(range(s.rank)))
+    rng = random.Random(0)
+
+    def relabeled(M, perm):
+        return tm.IdealTriangulation(
+            M.surface, [tm.Triangle(t.vertices, tuple(perm[e] if e < M.num_arcs else e for e in t.edges))
+                        for t in M.triangles],
+            M.num_arcs, M.num_boundary, M.puncture_flags, validate=False)
+
+    def shuffled(M, perm):
+        # the same relabeling stored with triangles reordered and rotated
+        tris = [t.rotated(rng.randrange(3)) for t in relabeled(M, perm).triangles]
+        rng.shuffle(tris)
+        return tm.IdealTriangulation(M.surface, tris, M.num_arcs, M.num_boundary, M.puncture_flags)
+
+    def check(nodes, key, form, relabel):
+        # the pool holds every node and one random relabeling of it, so both
+        # outcomes of the comparison occur
+        orbits = [{form(T, p) for p in perms} for T in nodes] * 2
+        pool = nodes + [relabel(T, rng.choice(perms)) for T in nodes]
+        keys = [key(T) for T in pool]
+        identity = range(s.rank)
+        for i in range(len(pool)):
+            for j, U in enumerate(pool):
+                assert (keys[i] == keys[j]) is (form(U, identity) in orbits[i])
+
+    cap = 10 if s.rank == 6 else 30
+    labeled, _, _ = tm.flip_graph_bfs(T0, max_nodes=cap)
+    check(labeled, tm.canonical_key, lambda T, p: relabeled(T, p).normal_form(), shuffled)
+
+    tagged = list(tg.exchange_graph_bfs(tg.tag_with(T0), max_nodes=cap).nodes)
+    check(tagged, tg.canonical_key,
+          lambda T, p: (relabeled(T.base, p).normal_form(), T.signatures),
+          lambda T, p: tg.TaggedTriangulation(shuffled(T.base, p), T.signatures))
+
+
+def test_tagged_flip_validates_once(monkeypatch):
+    G = graph((0, [1], 2))
+    assert {s for T in G.nodes for _, s in T.signatures} == {-1, 0, 1}
+    calls = []
+    validate = tm.IdealTriangulation.validate
+    monkeypatch.setattr(tm.IdealTriangulation, "validate", lambda self: calls.append(1) or validate(self))
+    for T in G.nodes:
+        for k in range(T.num_arcs):
+            before = len(calls)
+            tg.tagged_flip(T, k)
+            assert len(calls) == before + 1
+
+
+def test_export_reuses_search_keys(monkeypatch):
+    G = graph((0, [1], 2))
+    expected = [repr(tg.canonical_key(T)) for T in G.nodes]
+
+    def no_key(*args, **kwargs):
+        raise AssertionError("to_json recomputed a canonical key")
+
+    monkeypatch.setattr(tm, "canonical_key", no_key)
+    assert G.to_json()["vertices"] == expected
