@@ -14,13 +14,16 @@ import sys
 from . import blocks, cluster, finite_models, mutation, surface, tagged, trimap
 
 
-def _read_json_arg(value: str):
-    """Accept inline JSON or a path to a JSON file."""
+def _read_json_arg(value: str) -> dict:
+    """Accept an inline JSON object or a path to a file holding one."""
     text = value
     if not value.lstrip().startswith(("{", "[")):
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    data = json.loads(text)
+    if type(data) is not dict:
+        raise ValueError("expected a JSON object")
+    return data
 
 
 def _emit(data, out):

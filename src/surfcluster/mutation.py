@@ -9,7 +9,6 @@ mutation-class type recognition against that catalog.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from ._explore import explore
@@ -67,8 +66,11 @@ class ExchangeMatrix:
 
     @staticmethod
     def from_json(data: dict) -> "ExchangeMatrix":
+        """Read outside JSON: rows of integers, and n (if given) an integer."""
         rows = data["rows"]
-        if "n" in data and int(data["n"]) != len(rows):
+        if type(rows) is not list or not all(_is_int_list(row) for row in rows):
+            raise ValueError("rows must be a list of lists of integers")
+        if "n" in data and (type(data["n"]) is not int or data["n"] != len(rows)):
             raise ValueError("declared dimension does not match rows")
         return ExchangeMatrix.from_rows(rows)
 
@@ -109,7 +111,20 @@ def quiver_to_json(B: ExchangeMatrix) -> dict:
 
 
 def quiver_from_json(data: dict) -> ExchangeMatrix:
-    return from_edges(int(data["n"]), data["edges"])
+    """Read outside JSON: an integer n and integer edges [i, j] or [i, j, w], 0 <= i, j < n."""
+    n, edges = data["n"], data["edges"]
+    if type(n) is not int or n < 0 or type(edges) is not list:
+        raise ValueError("a quiver needs an integer n >= 0 and a list of edges")
+    for edge in edges:
+        if not (_is_int_list(edge) and len(edge) in (2, 3) and 0 <= edge[0] < n and 0 <= edge[1] < n):
+            raise ValueError(f"quiver edge must be [i, j] or [i, j, w] of integers with 0 <= i, j < {n}, "
+                             f"got {edge!r}")
+    return from_edges(n, edges)
+
+
+def _is_int_list(values) -> bool:
+    """True for a JSON list of integers (booleans are not integers here)."""
+    return type(values) is list and all(type(x) is int for x in values)
 
 
 def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -609,7 +624,3 @@ def recognize_type(B: ExchangeMatrix, budget: int = 20000) -> str:
         if keys is not None and key in keys:
             return f"{kind}({','.join(str(p) for p in params)})"
     return "Unknown"
-
-
-def class_ceiling_default() -> int:
-    return int(os.environ.get("SURFCLUSTER_CLASS_CEILING", "60000"))

@@ -7,9 +7,17 @@ side slots, traversed in opposite directions), ids n..n+c-1 are boundary
 segments (one slot each). Self-folded triangles put the same arc in two of
 their own slots.
 
-The validator enforces slot counts, opposite traversal, the Euler count,
-vertex-link consistency and the rank formula; every constructor and flip
-runs it.
+Slots are numbered flat: slot 3t + i is side i of triangle t, and also its
+corner i, where that side starts. From corner s, crossing side s into the
+arc's other slot p and taking the slot after p (side (i' + 1) mod 3 of the
+same triangle) turns about the same vertex. Link rule: the corners at each
+vertex form one orbit of this turn, a cycle at a puncture and, at a boundary
+vertex, a path from a corner entered across a boundary slot to a boundary
+slot.
+
+The validator enforces the rank formula, the vertex and flag counts, id
+ranges, triangle shape, slot counts, opposite traversal, the Euler count and
+the link rule; every constructor and flip runs it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._explore import UnionFind, explore
-from .mutation import ExchangeMatrix
+from .mutation import ExchangeMatrix, _is_int_list
 from .surface import MarkedSurface
 
 
@@ -65,7 +73,7 @@ class IdealTriangulation:
     """Immutable triangulated marked surface; flips return new values."""
 
     def __init__(self, surface: MarkedSurface, triangles, num_arcs: int,
-                 num_boundary: int, puncture_flags, validate: bool = True):
+                 num_boundary: int, puncture_flags):
         self.surface = surface
         self.triangles = tuple(t if isinstance(t, Triangle) else Triangle(tuple(t[0]), tuple(t[1]))
                                for t in triangles)
@@ -73,8 +81,7 @@ class IdealTriangulation:
         self.num_boundary = num_boundary
         self.puncture_flags = tuple(bool(f) for f in puncture_flags)
         self._normal = None
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- basic queries ----------------------------------------------------
 
@@ -124,103 +131,68 @@ class IdealTriangulation:
     def validate(self):
         s = self.surface
         n, c = self.num_arcs, self.num_boundary
+        V = len(self.puncture_flags)
         if n != s.rank:
             raise InvalidTriangulation(f"{n} arcs but surface rank is {s.rank}")
         if c != s.boundary_points:
             raise InvalidTriangulation("boundary segment count must equal marked boundary points")
-        if len(self.puncture_flags) != s.boundary_points + s.punctures:
+        if V != s.boundary_points + s.punctures:
             raise InvalidTriangulation("vertex count must equal number of marked points")
         if sum(self.puncture_flags) != s.punctures:
             raise InvalidTriangulation("puncture flag count mismatch")
+        for tri in self.triangles:
+            if len(tri.vertices) != 3 or len(tri.edges) != 3:
+                raise InvalidTriangulation(f"triangle {tri} needs three vertices and three edges")
 
-        slots: dict[int, list[tuple[int, int]]] = {}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                e = tri.edges[i]
+        edges, verts, partner = _slots(self.triangles, n)
+        if sorted(edges) != sorted([*range(n), *range(n + c)]):  # arcs twice, segments once
+            for e in edges:
                 if not 0 <= e < n + c:
                     raise InvalidTriangulation(f"edge id {e} out of range")
-                slots.setdefault(e, []).append((t, i))
-            for v in tri.vertices:
-                if not 0 <= v < self.num_vertices:
-                    raise InvalidTriangulation(f"vertex id {v} out of range")
-        for e in range(n + c):
-            occ = slots.get(e, [])
-            if self.is_arc(e):
-                if len(occ) != 2:
-                    raise InvalidTriangulation(f"arc {e} occupies {len(occ)} slots")
-                (t1, i1), (t2, i2) = occ
-                a1, b1 = self._slot_ends(t1, i1)
-                a2, b2 = self._slot_ends(t2, i2)
-                if (a1, b1) != (b2, a2):
-                    raise InvalidTriangulation(f"arc {e} is not traversed in opposite directions")
-            else:
-                if len(occ) != 1:
-                    raise InvalidTriangulation(f"boundary segment {e} occupies {len(occ)} slots")
+            e = next(e for e in range(n + c) if edges.count(e) != (2 if e < n else 1))
+            kind = "arc" if e < n else "boundary segment"
+            raise InvalidTriangulation(f"{kind} {e} occupies {edges.count(e)} slots")
+        used = set(verts)
+        if used != set(range(V)):
+            bad = used.difference(range(V))
+            if bad:
+                raise InvalidTriangulation(f"vertex id {min(bad)} out of range")
+            raise InvalidTriangulation(f"vertex {min(set(range(V)) - used)} has no corners")
+        # implied by the rank, vertex and slot counts (3F = 2n + c), so no
+        # map fails it; kept as the statement of what the counts amount to
+        chi = V - (n + c) + len(self.triangles)
+        if chi != 2 - 2 * s.genus - s.num_boundary:
+            raise InvalidTriangulation(f"Euler characteristic {chi} != {2 - 2 * s.genus - s.num_boundary}")
 
-        V = self.num_vertices
-        E = n + c
-        F = len(self.triangles)
-        chi = V - E + F
-        g, b = s.genus, s.num_boundary
-        if chi != 2 - 2 * g - b:
-            raise InvalidTriangulation(f"Euler characteristic {chi} != {2 - 2 * g - b}")
-
-        self._check_links(slots)
-
-    def _slot_ends(self, t: int, i: int) -> tuple[int, int]:
-        tri = self.triangles[t]
-        return tri.vertices[i], tri.vertices[(i + 1) % 3]
-
-    def _check_links(self, slots):
-        # Rotating around a vertex: corner (t, i) -> cross the outgoing side
-        # slot (t, i); its partner slot (t', i') ends at the same vertex, so
-        # the next corner is (t', i'+1). Punctures must close into one cycle,
-        # boundary vertices form one path ending at boundary slots.
-        partner = {}
-        for e, occ in slots.items():
-            if self.is_arc(e):
-                (t1, i1), (t2, i2) = occ
-                partner[(t1, i1)] = (t2, i2)
-                partner[(t2, i2)] = (t1, i1)
-        corners_at: dict[int, set] = {}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                corners_at.setdefault(tri.vertices[i], set()).add((t, i))
-        for v in range(self.num_vertices):
-            corners = corners_at.get(v, set())
-            if not corners:
-                raise InvalidTriangulation(f"vertex {v} has no corners")
-            if self.puncture_flags[v]:
-                start = next(iter(corners))
-                seen = set()
-                cur = start
-                while cur not in seen:
-                    seen.add(cur)
-                    t, i = cur
-                    nxt = partner.get((t, i))
-                    if nxt is None:
+        # Link rule: one orbit walk per vertex. The c paths (one per boundary
+        # slot) go first; once each sits at its own boundary vertex, all
+        # V - p = c of those are taken, so a cycle found later at a boundary
+        # vertex is a second orbit there. A step that leaves its vertex
+        # crossed an arc not traversed in opposite directions.
+        flags = self.puncture_flags
+        walked = [False] * V
+        done = [False] * len(verts)
+        starts = [b + 1 if b % 3 < 2 else b - 2 for b, p in enumerate(partner) if p < 0]
+        for c0 in starts + list(range(len(verts))):
+            if done[c0]:
+                continue
+            v = verts[c0]
+            if walked[v]:
+                raise InvalidTriangulation(f"link of vertex {v} has more than one orbit")
+            walked[v] = True
+            cur = c0
+            while True:
+                done[cur] = True
+                p = partner[cur]
+                if p < 0:  # the end of a path
+                    if flags[v]:
                         raise InvalidTriangulation(f"puncture {v} touches the boundary")
-                    cur = (nxt[0], (nxt[1] + 1) % 3)
-                if seen != corners or cur != start:
-                    raise InvalidTriangulation(f"link of puncture {v} is not a single cycle")
-            else:
-                # walk backward to the boundary, then forward through all corners
-                starts = [cr for cr in corners
-                          if partner.get((cr[0], (cr[1] + 2) % 3)) is None]
-                if len(starts) != 1:
-                    raise InvalidTriangulation(f"boundary vertex {v} has {len(starts)} link starts")
-                cur = starts[0]
-                seen = set()
-                while True:
-                    if cur in seen:
-                        raise InvalidTriangulation(f"link of boundary vertex {v} loops")
-                    seen.add(cur)
-                    nxt = partner.get(cur)
-                    if nxt is None:
-                        break
-                    cur = (nxt[0], (nxt[1] + 1) % 3)
-                if seen != corners:
-                    raise InvalidTriangulation(f"link of boundary vertex {v} is disconnected")
+                    break
+                cur = p + 1 if p % 3 < 2 else p - 2
+                if verts[cur] != v:
+                    raise InvalidTriangulation(f"arc {edges[p]} is not traversed in opposite directions")
+                if cur == c0:  # the end of a cycle
+                    break
 
     # -- equality up to representation ------------------------------------
 
@@ -258,12 +230,18 @@ class IdealTriangulation:
 
     @staticmethod
     def from_json(data: dict) -> "IdealTriangulation":
+        """Read outside JSON: a non-empty triangle list, integer ids and counts."""
         surf = MarkedSurface.from_json(data["surface"])
-        num_vertices = max(max(t["v"]) for t in data["triangles"]) + 1
-        punctures = set(data.get("punctures", []))
+        raw, punctures = data["triangles"], data.get("punctures", [])
+        counts = [data["arcs"], data["boundary_segments"]]
+        if not (type(raw) is list and raw and _is_int_list(counts) and _is_int_list(punctures)
+                and all(type(t) is dict and _is_int_list(t["v"]) and _is_int_list(t["e"]) for t in raw)):
+            raise InvalidTriangulation("expected a non-empty list of triangles {v, e} and counts "
+                                       "and ids that are JSON integers")
+        tris = [Triangle(tuple(t["v"]), tuple(t["e"])) for t in raw]
+        num_vertices = max(max(t.vertices, default=-1) for t in tris) + 1
         flags = [v in punctures for v in range(num_vertices)]
-        tris = [Triangle(tuple(t["v"]), tuple(t["e"])) for t in data["triangles"]]
-        return IdealTriangulation(surf, tris, data["arcs"], data["boundary_segments"], flags)
+        return IdealTriangulation(surf, tris, *counts, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +583,27 @@ def signature(T: IdealTriangulation) -> dict[int, int]:
 # canonical keys and flip-graph search
 
 
+def _slots(triangles, n: int):
+    """The flat slot table (edges, verts, partner) of a triangle list.
+
+    Slot 3t + i is side i of triangle t: edges[s] is its edge and verts[s]
+    the corner it starts at; partner[s] is the other slot of arc edges[s]
+    (edge ids below n), or -1 for a boundary slot.
+    """
+    edges = [e for tri in triangles for e in tri.edges]
+    verts = [v for tri in triangles for v in tri.vertices]
+    partner = [-1] * len(edges)
+    first = {}
+    for s, e in enumerate(edges):
+        if e < n:
+            o = first.pop(e, None)
+            if o is None:
+                first[e] = s
+            else:
+                partner[o], partner[s] = s, o
+    return edges, verts, partner
+
+
 def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     """Canonical encoding up to arc relabeling (vertices and boundary fixed).
 
@@ -626,17 +625,7 @@ def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     """
     tris = T.triangles
     n = T.num_arcs
-    edges = [e for tri in tris for e in tri.edges]  # slot 3t + i is side i of triangle t
-    verts = [v for tri in tris for v in tri.vertices]
-    partner = [0] * len(edges)
-    first = {}
-    for s, e in enumerate(edges):
-        if e < n:
-            o = first.pop(e, None)
-            if o is None:
-                first[e] = s
-            else:
-                partner[o], partner[s] = s, o
+    edges, verts, partner = _slots(tris, n)
     if T.num_boundary:
         starts = [edges.index(n)]
     else:

@@ -342,8 +342,7 @@ def test_criterion_11_type_recognition():
 
 @pytest.mark.slow
 def test_criterion_11_slow_extended_affine():
-    ceiling = mu.class_ceiling_default()
-    cls = mu.mutation_class(mu.make_quiver("ExtAffE", 6), max_size=ceiling)
+    cls = mu.mutation_class(mu.make_quiver("ExtAffE", 6), max_size=60000)
     assert cls.complete, "extended affine E6 class should be finite"
     a2d4 = mu.quiver_product(mu.make_quiver("A", 2), mu.make_quiver("D", 4))
     assert mu.canonical_form(a2d4).rows in {m.rows for m in cls.matrices}

@@ -52,6 +52,39 @@ def test_flip_rejects_fold():
     assert data["error"] == "not-flippable"
 
 
+@pytest.mark.parametrize("key, value", [
+    (0, {"v": [0, 1, 2, 0], "e": [2, 3, 0, 2]}),
+    (0, {"v": [0, 1], "e": [2, 3]}),
+    (0, {"v": ["0", "1", "2"], "e": [2, 3, 0]}),
+    (0, {"v": [0, 1, 2], "e": [2, 3, False]}),
+    ("arcs", 2.0),
+    ("triangles", []),
+], ids=["four-entries", "two-entries", "string-ids", "boolean-id", "float-count", "no-triangles"])
+def test_malformed_triangulation_exits_2(key, value, capsys):
+    # one edit of the (0,[5],0) fan: key 0 replaces its first triangle
+    code, tri = run(["triangulate", "--surface", '{"genus":0,"boundary":[5],"punctures":0}'])
+    assert tri["triangles"][0] == {"v": [0, 1, 2], "e": [2, 3, 0]}
+    (tri["triangles"] if key == 0 else tri)[key] = value
+    for argv in (["flip", "--arc", "1"], ["b-matrix"]):
+        code, out = run(argv + ["--triangulation", json.dumps(tri)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("matrix", [
+    '{"rows":[[0,1.5],[-1.5,0]]}',
+    '{"n":2,"edges":[[0,-1]]}',
+    '{"n":2,"edges":[[0,5]]}',
+    '{"rows":5}',
+    '{"n":2,"edges":[[0,1,"2"]]}',
+    '[[0,1],[-1,0]]',
+], ids=["float-entry", "negative-index", "index-past-n", "rows-not-a-list", "string-weight", "not-an-object"])
+def test_malformed_matrix_exits_2(matrix, capsys):
+    code, out = run(["corank", "--matrix", matrix])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_tagged_bfs_json_and_dot():
     code, data = run(["tagged-bfs", "--surface", '{"genus":0,"boundary":[2],"punctures":1}',
                       "--max-nodes", "50"])

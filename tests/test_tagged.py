@@ -174,10 +174,7 @@ def test_key_equality_is_arc_relabeling(desc):
     rng = random.Random(0)
 
     def relabeled(M, perm):
-        return tm.IdealTriangulation(
-            M.surface, [tm.Triangle(t.vertices, tuple(perm[e] if e < M.num_arcs else e for e in t.edges))
-                        for t in M.triangles],
-            M.num_arcs, M.num_boundary, M.puncture_flags, validate=False)
+        return M.relabel_arcs(dict(enumerate(perm)))
 
     def shuffled(M, perm):
         # the same relabeling stored with triangles reordered and rotated

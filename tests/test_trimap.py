@@ -130,3 +130,51 @@ def test_exceptional_four_punctured_sphere_reachable():
     s, T = build((0, [], 4))
     nodes, _, trunc = tm.flip_graph_bfs(T, max_nodes=400, labeled=False)
     assert any(sum(t.self_folded for t in n.triangles) == 3 for n in nodes)
+
+
+PENTAGON = [((0, 1, 2), (2, 3, 0)), ((0, 2, 3), (0, 4, 1)), ((0, 3, 4), (1, 5, 6))]  # (0,[5],0): 2 arcs
+WHEEL = [((0, 1, 2), (3, 0, 1)), ((1, 3, 2), (4, 2, 0)), ((3, 0, 2), (5, 1, 2))]  # (0,[3],1): puncture 2
+TETRAHEDRON = [((0, 1, 2), (0, 1, 2)), ((0, 2, 3), (2, 3, 4)), ((0, 3, 1), (4, 5, 0)), ((1, 3, 2), (5, 3, 1))]
+
+
+def _with(tris, t, vertices=None, edges=None):
+    out = list(tris)
+    out[t] = (vertices or tris[t][0], edges or tris[t][1])
+    return out
+
+
+@pytest.mark.parametrize("desc, tris, n, c, flags, match", [
+    ((0, [5], 0), PENTAGON, 3, 5, [False] * 5, "surface rank"),
+    ((0, [5], 0), PENTAGON, 2, 4, [False] * 5, "boundary segment count"),
+    ((0, [5], 0), PENTAGON, 2, 5, [False] * 6, "vertex count"),
+    ((0, [5], 0), PENTAGON, 2, 5, [True] + [False] * 4, "puncture flag count"),
+    ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 3, -1)), 2, 5, [False] * 5, "edge id -1 out of range"),
+    ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 3, 7)), 2, 5, [False] * 5, "edge id 7 out of range"),
+    ((0, [5], 0), _with(PENTAGON, 0, vertices=(0, 1, 5)), 2, 5, [False] * 5, "vertex id 5 out of range"),
+    ((0, [5], 0), _with(PENTAGON, 1, edges=(1, 4, 1)), 2, 5, [False] * 5, "arc 0 occupies 1 slots"),
+    ((0, [5], 0), _with(PENTAGON, 1, edges=(0, 4, 0)), 2, 5, [False] * 5, "arc 0 occupies 3 slots"),
+    ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 4, 0)), 2, 5, [False] * 5, "segment 3 occupies 0 slots"),
+    ((0, [5], 0), _with(PENTAGON, 1, edges=(0, 3, 1)), 2, 5, [False] * 5, "segment 3 occupies 2 slots"),
+    ((0, [5], 0), _with(PENTAGON, 0, (0, 2, 1), (0, 3, 2)), 2, 5, [False] * 5, "opposite directions"),
+    ((0, [3], 1), WHEEL, 3, 3, [False, False, False, True], "puncture 3 touches the boundary"),
+    ((0, [5], 0), _with(PENTAGON, 2, vertices=(0, 3, 3)), 2, 5, [False] * 5, "vertex 4 has no corners"),
+    # vertices 0, 1 and 2, 3 merged: the counts of the twice-punctured torus,
+    # which has rank 6 too, but each puncture has two cycles
+    ((1, [], 2), [([v // 2 for v in vs], es) for vs, es in TETRAHEDRON], 6, 0, [True, True],
+     "more than one orbit"),
+    ((0, [5], 0), _with(PENTAGON, 0, (0, 1, 2, 0), (2, 3, 0, 2)), 2, 5, [False] * 5, "three vertices"),
+    ((0, [5], 0), _with(PENTAGON, 0, (0, 1), (2, 3)), 2, 5, [False] * 5, "three vertices"),
+])
+def test_validate_rejects(desc, tris, n, c, flags, match):
+    # one check per case, each map one edit away from a valid one
+    with pytest.raises(tm.InvalidTriangulation, match=match):
+        tm.IdealTriangulation(sf.validate_surface(*desc), tris, n, c, flags)
+
+
+def test_validate_rejection_bases_are_valid():
+    for desc, tris, flags in [((0, [5], 0), PENTAGON, [False] * 5),
+                              ((0, [3], 1), WHEEL, [False, False, True, False]),
+                              ((0, [], 4), TETRAHEDRON, [True] * 4)]:
+        s = sf.validate_surface(*desc)
+        T = tm.IdealTriangulation(s, tris, s.rank, s.boundary_points, flags)
+        assert T == tm.initial_triangulation(s)
