@@ -14,10 +14,11 @@ square's matrix [0] demands one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ._explore import UnionFind
-from .mutation import ExchangeMatrix
+from .mutation import ExchangeMatrix, _is_int_list
 from .surface import MarkedSurface, validate_surface
 from .trimap import IdealTriangulation, Triangle
 
@@ -39,10 +40,6 @@ class BlockPlacement:
     kind: str
     vertices: tuple[int, ...]  # block-local index -> matrix vertex
 
-    def outlet_vertices(self):
-        _, outlets, _ = BLOCK_SPECS[self.kind]
-        return tuple(self.vertices[i] for i in sorted(outlets))
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -59,11 +56,16 @@ class BlockDecomposition:
 
     @staticmethod
     def from_json(data: dict) -> "BlockDecomposition":
-        return BlockDecomposition(
-            n=int(data["n"]),
-            blocks=tuple(BlockPlacement(b["kind"], tuple(b["vertices"])) for b in data["blocks"]),
-            bare=tuple(data.get("bare", ())),
-        )
+        """Read outside JSON: an integer n >= 0, blocks {kind, vertices} of a
+        known kind, and integer vertex ids."""
+        n, raw, bare = data["n"], data["blocks"], data.get("bare", [])
+        if not (type(n) is int and n >= 0 and type(raw) is list and _is_int_list(bare)
+                and all(type(b) is dict and b["kind"] in _KIND_ORDER
+                        and _is_int_list(b["vertices"]) for b in raw)):
+            raise ValueError("expected an integer n >= 0, a list of blocks {kind, vertices} of the "
+                             f"kinds {', '.join(_KIND_ORDER)}, and vertex ids that are JSON integers")
+        blocks = tuple(BlockPlacement(b["kind"], tuple(b["vertices"])) for b in raw)
+        return BlockDecomposition(n, blocks, tuple(bare))
 
 
 def assemble_matrix(d: BlockDecomposition) -> ExchangeMatrix:
@@ -120,65 +122,52 @@ def _component_count(n: int, placements) -> int:
 # decision procedure
 
 
-def _pair_feasible(f: int, g: int, t: int) -> bool:
-    # final (f', g') >= (f, g) with f' - g' = t, f' + g' <= 2
-    finals = {2: [(2, 0)], 1: [(1, 0)], 0: [(0, 0), (1, 1)], -1: [(0, 1)], -2: [(0, 2)]}
-    return any(f <= ff and g <= gg for ff, gg in finals[t])
+class BudgetExhausted(RuntimeError):
+    """The block search made more calls than its budget allows: undecided."""
 
 
 class _Search:
+    """Backtracking state. res[u][v] is B[u, v] minus the net number of placed
+    arrows u -> v, and load[u][v] counts the placed arrows between u and v in
+    either direction. Opposite arrows cancel and a pair carries at most two
+    arrows, so a pair can still be finished exactly when |res| + load <= 2.
+    """
+
     def __init__(self, B: ExchangeMatrix):
-        self.B = B
         self.n = B.n
-        self.arrows: dict[tuple[int, int], int] = {}
-        self.usage: dict[int, list[bool]] = {}
+        self.res = [list(row) for row in B.rows]
+        self.load = [[0] * B.n for _ in range(B.n)]
+        self.usage: list[list[bool]] = [[] for _ in range(B.n)]  # outlet flag per role
         self.blocks: list[BlockPlacement] = []
         self.calls = 0
         self.failed: set = set()
 
-    def residual(self, u, v):
-        f = self.arrows.get((u, v), 0)
-        g = self.arrows.get((v, u), 0)
-        return self.B[u, v] - (f - g)
-
     def demands(self):
-        out = []
-        for u in range(self.n):
-            for v in range(self.n):
-                if u != v:
-                    r = self.residual(u, v)
-                    if r > 0:
-                        out.append((r, u, v))
-        return out
+        return [(r, u, v) for u, row in enumerate(self.res) for v, r in enumerate(row) if r > 0]
 
     def can_use(self, v, as_outlet):
-        lst = self.usage.get(v, [])
-        if len(lst) >= 2:
-            return False
-        if lst and not (all(lst) and as_outlet):
-            return False
-        return True
+        roles = self.usage[v]
+        return not roles or (len(roles) == 1 and roles[0] and as_outlet)
+
+    def _add(self, pl: BlockPlacement, sign: int):
+        for a, b in BLOCK_SPECS[pl.kind][2]:
+            u, v = pl.vertices[a], pl.vertices[b]
+            self.res[u][v] -= sign
+            self.res[v][u] += sign
+            self.load[u][v] += sign
+            self.load[v][u] += sign
 
     def place(self, pl: BlockPlacement):
-        _, outlets, edges = BLOCK_SPECS[pl.kind]
+        outlets = BLOCK_SPECS[pl.kind][1]
         for local, v in enumerate(pl.vertices):
-            self.usage.setdefault(v, []).append(local in outlets)
-        for a, b in edges:
-            key = (pl.vertices[a], pl.vertices[b])
-            self.arrows[key] = self.arrows.get(key, 0) + 1
+            self.usage[v].append(local in outlets)
+        self._add(pl, 1)
         self.blocks.append(pl)
 
     def unplace(self, pl: BlockPlacement):
-        _, outlets, edges = BLOCK_SPECS[pl.kind]
         for v in pl.vertices:
             self.usage[v].pop()
-            if not self.usage[v]:
-                del self.usage[v]
-        for a, b in edges:
-            key = (pl.vertices[a], pl.vertices[b])
-            self.arrows[key] -= 1
-            if not self.arrows[key]:
-                del self.arrows[key]
+        self._add(pl, -1)
         self.blocks.pop()
 
     def placements_covering(self, u, v):
@@ -223,24 +212,20 @@ class _Search:
 
     def _edges_feasible_partial(self, edges, assign):
         # block edges between assigned vertices must leave every pair
-        # completable; with all vertices assigned this checks the placement
-        add: dict[tuple[int, int], int] = {}
+        # completable; with all vertices assigned this checks the placement.
+        # A block puts at most one arrow on a pair of its vertices.
         for a, b in edges:
             if a in assign and b in assign:
-                key = (assign[a], assign[b])
-                add[key] = add.get(key, 0) + 1
-        for (u, v), extra in add.items():
-            f = self.arrows.get((u, v), 0) + extra
-            g = self.arrows.get((v, u), 0)
-            if not _pair_feasible(f, g, self.B[u, v]):
-                return False
+                u, v = assign[a], assign[b]
+                if abs(self.res[u][v] - 1) + self.load[u][v] + 1 > 2:
+                    return False
         return True
 
     # -- search driver ------------------------------------------------------
 
     def _state_key(self):
-        return (tuple(sorted(self.arrows.items())),
-                tuple(sorted((v, tuple(sorted(r))) for v, r in self.usage.items())))
+        return (tuple(map(tuple, self.res)), tuple(map(tuple, self.load)),
+                tuple(tuple(sorted(r)) for r in self.usage))
 
     def _degree_feasible(self, demands):
         # remaining star of each vertex must fit in its free block roles:
@@ -253,7 +238,7 @@ class _Search:
         for v in range(self.n):
             if not dout[v] and not din[v]:
                 continue
-            roles = self.usage.get(v, ())
+            roles = self.usage[v]
             free = 0 if (roles and not all(roles)) else 2 - len(roles)
             if free == 0:
                 return False
@@ -266,7 +251,7 @@ class _Search:
         # must fit into a single role, which prunes hard
         def score(t):
             r, u, v = t
-            partial = max(len(self.usage.get(u, ())), len(self.usage.get(v, ())))
+            partial = max(len(self.usage[u]), len(self.usage[v]))
             return (-partial, -r, u, v)
 
         return min(demands, key=score)
@@ -274,7 +259,7 @@ class _Search:
     def _search(self, budget):
         self.calls += 1
         if self.calls > budget:
-            raise RuntimeError("block search budget exhausted")
+            raise BudgetExhausted(f"block search budget of {budget} calls exhausted")
         demands = self.demands()
         if not demands:
             return self._close_up()
@@ -290,7 +275,7 @@ class _Search:
             _, _, edges = BLOCK_SPECS[pl.kind]
             gain = 0
             for a, b in edges:
-                if self.residual(pl.vertices[a], pl.vertices[b]) > 0:
+                if self.res[pl.vertices[a]][pl.vertices[b]] > 0:
                     gain -= 1
             return (gain, pl.kind, pl.vertices)
 
@@ -305,18 +290,12 @@ class _Search:
         return None
 
     def _close_up(self):
-        # all residuals vanished; cover isolated vertices, then the
-        # pre-cancellation graph must come out connected
-        covered = set(self.usage)
-        uncovered = [v for v in range(self.n) if v not in covered]
-        if any(any(self.B[v, w] for w in range(self.n)) for v in uncovered):
-            return None  # an edge-bearing vertex escaped coverage: dead end
-
-        # isolated vertices pair up through cancelling I+I blocks (only
-        # untouched vertices can host both usages of such a pair); a lone
-        # leftover stays bare
+        # all residuals vanished, so an uncovered vertex has no edges; such
+        # vertices pair up through cancelling I+I blocks (only untouched
+        # vertices can host both usages of such a pair), a lone leftover stays
+        # bare, and the pre-cancellation graph must come out connected
+        free = [v for v in range(self.n) if not self.usage[v]]
         joins: list[BlockPlacement] = []
-        free = list(uncovered)
         while len(free) >= 2:
             u = free.pop(0)
             v = free.pop(0)
@@ -334,7 +313,8 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
     """Find a block decomposition witnessing B = B(T), or None.
 
     Entries outside {0, +-1, +-2} fail immediately. The witness, when it
-    exists, assembles (after cancelling opposite pairs) to exactly B.
+    exists, assembles (after cancelling opposite pairs) to exactly B. A search
+    that makes more than `budget` calls raises BudgetExhausted: undecided.
     """
     if not B.entries_bounded_by(2):
         return None
@@ -352,53 +332,43 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
 
 
 class _Assembler:
-    def __init__(self):
-        self.triangles: list[tuple[list[int], list[int]]] = []
-        self.corners = UnionFind()  # vertices identified by gluing
-        self._next_vertex = 0
-        self._next_edge = 0
-        self.edge_kind: dict[int, str] = {}
-        self.arc_slots: dict[int, list[tuple[int, int, int, int]]] = {}
+    """Triangles on final edge ids: arc i is edge i, and boundary segments get
+    ids n, n + 1, ... as they are created. Corners glued along an arc are
+    joined in `corners`."""
 
-    def new_vertex(self):
-        v = self._next_vertex
-        self._next_vertex += 1
-        return v
+    def __init__(self, n: int):
+        self.n = n
+        self.triangles: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.corners = UnionFind()
+        self.num_vertices = 0
+        self.num_edges = n
+        self.arc_slots: dict[int, list[tuple[int, int]]] = {}  # arc -> (start, end) per slot
+
+    def new_vertices(self, k: int):
+        self.num_vertices += k
+        return range(self.num_vertices - k, self.num_vertices)
 
     def boundary_edge(self):
-        e = self._next_edge
-        self._next_edge += 1
-        self.edge_kind[e] = "boundary"
-        return e
-
-    def arc_edge(self, gamma_vertex):
-        # arcs are keyed directly by matrix vertex; reserve ids below 0 risk:
-        # use a tagged key instead
-        return ("arc", gamma_vertex)
+        self.num_edges += 1
+        return self.num_edges - 1
 
     def add_triangle(self, verts, edges):
-        t = len(self.triangles)
-        self.triangles.append((list(verts), list(edges)))
+        self.triangles.append((tuple(verts), tuple(edges)))
         for i, e in enumerate(edges):
-            if isinstance(e, tuple):
-                self.arc_slots.setdefault(e[1], []).append((t, i, verts[i], verts[(i + 1) % 3]))
-        return t
+            if e < self.n:
+                self.arc_slots.setdefault(e, []).append((verts[i], verts[(i + 1) % 3]))
 
 
 def _instantiate_piece(asm: _Assembler, pl: BlockPlacement):
     g = pl.vertices
+    u, w, z = asm.new_vertices(3)
     if pl.kind == "I":
-        u, w, z = asm.new_vertex(), asm.new_vertex(), asm.new_vertex()
         # ccw sides (e1, e0, boundary) so the quiver arrow runs 0 -> 1
-        asm.add_triangle([u, w, z], [asm.arc_edge(g[1]), asm.arc_edge(g[0]), asm.boundary_edge()])
+        asm.add_triangle([u, w, z], [g[1], g[0], asm.boundary_edge()])
     elif pl.kind == "II":
-        u, w, z = asm.new_vertex(), asm.new_vertex(), asm.new_vertex()
-        asm.add_triangle([u, w, z], [asm.arc_edge(g[0]), asm.arc_edge(g[2]), asm.arc_edge(g[1])])
+        asm.add_triangle([u, w, z], [g[0], g[2], g[1]])
     elif pl.kind in ("IIIa", "IIIb"):
-        u, w, z = asm.new_vertex(), asm.new_vertex(), asm.new_vertex()
-        loop = asm.arc_edge(g[0])
-        rad = asm.arc_edge(g[1])
-        t_arc = asm.arc_edge(g[2])
+        loop, rad, t_arc = g
         if pl.kind == "IIIa":
             sides = [asm.boundary_edge(), t_arc, loop]  # arrows loop->t, rad->t
         else:
@@ -406,20 +376,14 @@ def _instantiate_piece(asm: _Assembler, pl: BlockPlacement):
         asm.add_triangle([u, w, u], sides)
         asm.add_triangle([u, u, z], [loop, rad, rad])
     elif pl.kind == "IV":
-        u, w, z = asm.new_vertex(), asm.new_vertex(), asm.new_vertex()
-        o1, o2 = asm.arc_edge(g[0]), asm.arc_edge(g[1])
-        loop, rad = asm.arc_edge(g[2]), asm.arc_edge(g[3])
+        o1, o2, loop, rad = g
         asm.add_triangle([u, w, u], [o1, o2, loop])
         asm.add_triangle([u, u, z], [loop, rad, rad])
     elif pl.kind == "V":
-        u = asm.new_vertex()
-        z1, z2 = asm.new_vertex(), asm.new_vertex()
-        O = asm.arc_edge(g[0])
-        l1, r1 = asm.arc_edge(g[1]), asm.arc_edge(g[2])
-        l2, r2 = asm.arc_edge(g[3]), asm.arc_edge(g[4])
+        O, l1, r1, l2, r2 = g
         asm.add_triangle([u, u, u], [O, l2, l1])
-        asm.add_triangle([u, u, z1], [l1, r1, r1])
-        asm.add_triangle([u, u, z2], [l2, r2, r2])
+        asm.add_triangle([u, u, w], [l1, r1, r1])
+        asm.add_triangle([u, u, z], [l2, r2, r2])
     else:
         raise ValueError(f"unknown block kind {pl.kind}")
 
@@ -433,98 +397,50 @@ def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, Id
     assembled matrix exactly.
     """
     validate_decomposition(d)
-    asm = _Assembler()
+    n = d.n
+    asm = _Assembler(n)
     for pl in d.blocks:
         _instantiate_piece(asm, pl)
     for v in d.bare:
-        a, b, c, e = asm.new_vertex(), asm.new_vertex(), asm.new_vertex(), asm.new_vertex()
-        arc = asm.arc_edge(v)
-        asm.add_triangle([a, b, c], [asm.boundary_edge(), asm.boundary_edge(), arc])
-        asm.add_triangle([a, c, e], [arc, asm.boundary_edge(), asm.boundary_edge()])
+        a, b, c, e = asm.new_vertices(4)
+        asm.add_triangle([a, b, c], [asm.boundary_edge(), asm.boundary_edge(), v])
+        asm.add_triangle([a, c, e], [v, asm.boundary_edge(), asm.boundary_edge()])
 
     for gv, slots in sorted(asm.arc_slots.items()):
         if len(slots) == 1:
-            t, i, a, b = slots[0]
-            z = asm.new_vertex()
-            asm.add_triangle([b, a, z],
-                             [asm.arc_edge(gv), asm.boundary_edge(), asm.boundary_edge()])
+            (a, b), = slots
+            z, = asm.new_vertices(1)
+            asm.add_triangle([b, a, z], [gv, asm.boundary_edge(), asm.boundary_edge()])
         elif len(slots) == 2:
-            (_, _, a1, b1), (_, _, a2, b2) = slots
+            (a1, b1), (a2, b2) = slots
             asm.corners.union(a1, b2)
             asm.corners.union(b1, a2)
         else:
             raise ValueError(f"arc {gv} would have {len(slots)} slots")
 
-    # resolve vertices
+    # vertices are numbered by first appearance; boundary components join
+    # the ends of their segments, and a puncture touches no boundary slot
     classes: dict[int, int] = {}
-    flags: list[bool] = []
-    tri_out: list[Triangle] = []
-    boundary_ids: dict[int, int] = {}
-    n = d.n
-    bcount = sum(1 for e, k in asm.edge_kind.items() if k == "boundary")
 
     def vid(v):
-        r = asm.corners.find(v)
-        if r not in classes:
-            classes[r] = len(classes)
-            flags.append(True)
-        return classes[r]
+        return classes.setdefault(asm.corners.find(v), len(classes))
 
-    def eid(e):
-        if isinstance(e, tuple):
-            return e[1]
-        if e not in boundary_ids:
-            boundary_ids[e] = n + len(boundary_ids)
-        return boundary_ids[e]
-
-    raw = []
-    for verts, edges in asm.triangles:
-        vv = tuple(vid(v) for v in verts)
-        ee = tuple(eid(e) for e in edges)
-        raw.append((vv, ee))
-        for i, e in enumerate(edges):
-            if not isinstance(e, tuple):
-                flags[vv[i]] = False
-                flags[vv[(i + 1) % 3]] = False
-    tri_out = [Triangle(vv, ee) for vv, ee in raw]
-
-    # boundary components and their marked-point counts
-    succ = {}
-    for vv, ee in raw:
-        for i, e in enumerate(ee):
+    tris = [Triangle(tuple(map(vid, verts)), edges) for verts, edges in asm.triangles]
+    components = UnionFind()
+    boundary_vertices = set()
+    for t in tris:
+        for i, e in enumerate(t.edges):
             if e >= n:
-                succ[e] = (vv[i], vv[(i + 1) % 3])
-    by_start: dict[int, list[int]] = {}
-    for e, (a, b) in succ.items():
-        by_start.setdefault(a, []).append(e)
-    comp_counts = []
-    seen_edges = set()
-    for e0 in sorted(succ):
-        if e0 in seen_edges:
-            continue
-        count = 0
-        e = e0
-        while e not in seen_edges:
-            seen_edges.add(e)
-            count += 1
-            _, b = succ[e]
-            nxts = [x for x in by_start.get(b, []) if x not in seen_edges]
-            if not nxts:
-                break
-            e = nxts[0]
-        comp_counts.append(count)
-    assert sum(comp_counts) == bcount
+                ends = t.vertices[i], t.vertices[(i + 1) % 3]
+                components.union(*ends)
+                boundary_vertices.update(ends)
+    counts = Counter(components.find(v) for v in boundary_vertices)
+    flags = [v not in boundary_vertices for v in range(len(classes))]
 
-    V = len(classes)
-    E = n + bcount
-    F = len(tri_out)
-    chi = V - E + F
-    b = len(comp_counts)
-    genus2 = 2 - b - chi
+    V, E, F = len(classes), asm.num_edges, len(tris)
+    genus2 = 2 - len(counts) - (V - E + F)
     if genus2 % 2:
         raise ValueError("assembled surface has inconsistent Euler characteristic")
-    g = genus2 // 2
-    p = sum(1 for f in flags if f)
-    surf = validate_surface(genus=g, boundary=comp_counts, punctures=p)
-    T = IdealTriangulation(surf, tri_out, n, bcount, flags)
-    return surf, T
+    surf = validate_surface(genus=genus2 // 2, boundary=list(counts.values()),
+                            punctures=flags.count(True))
+    return surf, IdealTriangulation(surf, tris, n, E - n, flags)

@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
 Exit codes: 0 success, 1 domain rejection (excluded surface, non-surface
-matrix, unknown type), 2 usage error. Domain rejections print a machine
-readable {"error": ..., "detail": ...} object.
+matrix, unknown type), 2 usage error, 3 undecided (the block search of
+is-surface-matrix ran out of budget). Rejections and undecided answers print
+a machine readable {"error": ..., "detail": ...} object.
 """
 
 from __future__ import annotations
@@ -60,11 +61,7 @@ def cmd_surface_classify(args, out) -> int:
 
 
 def cmd_triangulate(args, out) -> int:
-    try:
-        s = _load_surface(args.surface)
-    except (surface.ExcludedSurface, surface.EmptyMarking) as exc:
-        return _fail("excluded-surface", str(exc), out)
-    T = trimap.initial_triangulation(s)
+    T = trimap.initial_triangulation(_load_surface(args.surface))
     _emit(T.to_json(), out)
     return 0
 
@@ -93,11 +90,7 @@ def cmd_b_matrix(args, out) -> int:
 
 
 def cmd_tagged_bfs(args, out) -> int:
-    try:
-        s = _load_surface(args.surface)
-    except (surface.ExcludedSurface, surface.EmptyMarking) as exc:
-        return _fail("excluded-surface", str(exc), out)
-    T0 = tagged.tag_with(trimap.initial_triangulation(s))
+    T0 = tagged.tag_with(trimap.initial_triangulation(_load_surface(args.surface)))
     graph = tagged.exchange_graph_bfs(T0, max_nodes=args.max_nodes)
     if args.format == "dot":
         out.write(graph.to_dot() + "\n")
@@ -136,7 +129,11 @@ def cmd_corank(args, out) -> int:
 
 def cmd_is_surface_matrix(args, out) -> int:
     B = _load_matrix(args.matrix)
-    d = blocks.decompose(B)
+    try:
+        d = blocks.decompose(B)
+    except blocks.BudgetExhausted as exc:
+        _emit({"error": "undecided", "detail": str(exc)}, out)
+        return 3
     if d is None:
         return _fail("not-block-decomposable", "no block decomposition exists", out)
     _emit({"decomposition": d.to_json()}, out)

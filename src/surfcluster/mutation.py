@@ -268,10 +268,6 @@ def canonical_form(B: ExchangeMatrix, max_n: int = 64) -> ExchangeMatrix:
     return ExchangeMatrix(best[0])
 
 
-def canonical_key(B: ExchangeMatrix) -> tuple:
-    return canonical_form(B).rows
-
-
 @dataclass(frozen=True)
 class MutationClass:
     """Canonical representatives of a mutation class, with completion status."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .mutation import _is_int_list
+
 
 class ExcludedSurface(ValueError):
     def __init__(self, reason: str):
@@ -65,11 +67,13 @@ class MarkedSurface:
 
     @staticmethod
     def from_json(data: dict) -> "MarkedSurface":
-        return validate_surface(
-            genus=data.get("genus", 0),
-            boundary=data.get("boundary", []),
-            punctures=data.get("punctures", 0),
-        )
+        """Read outside JSON: integer genus and punctures, a list of integer boundary counts."""
+        genus = data.get("genus", 0)
+        boundary = data.get("boundary", [])
+        punctures = data.get("punctures", 0)
+        if not (type(genus) is int and type(punctures) is int and _is_int_list(boundary)):
+            raise ValueError("genus and punctures must be JSON integers and boundary a list of them")
+        return validate_surface(genus=genus, boundary=boundary, punctures=punctures)
 
 
 def validate_surface(genus: int = 0, boundary=(), punctures: int = 0) -> MarkedSurface:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from surfcluster import cli
+from surfcluster import blocks, cli
 
 
 def run(argv):
@@ -83,6 +83,41 @@ def test_malformed_matrix_exits_2(matrix, capsys):
     code, out = run(["corank", "--matrix", matrix])
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("descriptor", [
+    '{"genus":0.5,"boundary":[6],"punctures":0}',
+    '{"genus":0,"boundary":"6","punctures":0}',
+    '{"genus":0,"boundary":"55","punctures":0}',
+    '{"genus":0,"boundary":[6.9],"punctures":0}',
+    '{"genus":0,"boundary":[6],"punctures":true}',
+], ids=["float-genus", "string-boundary", "string-of-digits", "float-count", "boolean-punctures"])
+def test_malformed_surface_exits_2(descriptor, capsys):
+    code, out = run(["surface", "classify", descriptor])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("decomposition", [
+    '{"n":3.7,"blocks":[{"kind":"II","vertices":[0,1,2]}],"bare":[]}',
+    '{"n":3,"blocks":[{"kind":"II","vertices":[0,1,2.0]}],"bare":[]}',
+    '{"n":3,"blocks":[{"kind":"VI","vertices":[0,1,2]}],"bare":[]}',
+    '{"n":3,"blocks":[{"kind":"II","vertices":[0,1,2]}],"bare":[true]}',
+    '{"n":3,"blocks":{"kind":"II","vertices":[0,1,2]}}',
+    '{"n":-1,"blocks":[]}',
+], ids=["float-n", "float-vertex", "unknown-kind", "boolean-bare", "blocks-not-a-list", "negative-n"])
+def test_malformed_decomposition_exits_2(decomposition, capsys):
+    code, out = run(["block-assemble", decomposition])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+def test_is_surface_matrix_undecided(monkeypatch):
+    decompose = blocks.decompose
+    monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))
+    code, data = run(["is-surface-matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
+    assert code == 3
+    assert data == {"error": "undecided", "detail": "block search budget of 1 calls exhausted"}
 
 
 def test_tagged_bfs_json_and_dot():
