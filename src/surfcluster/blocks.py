@@ -84,6 +84,8 @@ def _usage_roles(d: BlockDecomposition):
     roles: dict[int, list[bool]] = {}
     for pl in d.blocks:
         size, outlets, _ = BLOCK_SPECS[pl.kind]
+        if len(pl.vertices) != size:
+            raise ValueError(f"block {pl.kind} needs {size} vertices, got {len(pl.vertices)}")
         if len(set(pl.vertices)) != size:
             raise ValueError("block vertices must be distinct")
         for local, v in enumerate(pl.vertices):
@@ -293,7 +295,7 @@ class _Search:
         # all residuals vanished, so an uncovered vertex has no edges; such
         # vertices pair up through cancelling I+I blocks (only untouched
         # vertices can host both usages of such a pair), a lone leftover stays
-        # bare, and the pre-cancellation graph must come out connected
+        # bare, and the pre-cancellation graph must form exactly one component
         free = [v for v in range(self.n) if not self.usage[v]]
         joins: list[BlockPlacement] = []
         while len(free) >= 2:
@@ -304,7 +306,7 @@ class _Search:
         bare = tuple(free)
 
         placements = tuple(self.blocks) + tuple(joins)
-        if _component_count(self.n, placements) > 1:
+        if _component_count(self.n, placements) != 1:
             return None
         return BlockDecomposition(self.n, placements, bare)
 

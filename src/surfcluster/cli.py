@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 domain rejection (excluded surface, non-surface
 matrix, unknown type), 2 usage error, 3 undecided (the block search of
-is-surface-matrix ran out of budget). Rejections and undecided answers print
-a machine readable {"error": ..., "detail": ...} object.
+is-surface-matrix or recognize-type ran out of budget). Rejections and
+undecided answers print a machine readable {"error": ..., "detail": ...}
+object; an unknown type prints {"type": "Unknown"}.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def cmd_mutation_class(args, out) -> int:
 
 def cmd_recognize_type(args, out) -> int:
     B = _load_matrix(args.matrix)
-    tag = mutation.recognize_type(B, budget=args.budget)
+    tag = mutation.recognize_type(B)
     _emit({"type": tag}, out)
     return 0 if tag != "Unknown" else 1
 
@@ -129,11 +130,7 @@ def cmd_corank(args, out) -> int:
 
 def cmd_is_surface_matrix(args, out) -> int:
     B = _load_matrix(args.matrix)
-    try:
-        d = blocks.decompose(B)
-    except blocks.BudgetExhausted as exc:
-        _emit({"error": "undecided", "detail": str(exc)}, out)
-        return 3
+    d = blocks.decompose(B)
     if d is None:
         return _fail("not-block-decomposable", "no block decomposition exists", out)
     _emit({"decomposition": d.to_json()}, out)
@@ -237,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="include all representatives")
     p.set_defaults(func=cmd_mutation_class)
 
-    p = sub.add_parser("recognize-type", help="match a matrix against the type catalog")
+    p = sub.add_parser("recognize-type", help="mutation type: block witness, else exceptional catalog")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--budget", type=int, default=20000)
     p.set_defaults(func=cmd_recognize_type)
 
     p = sub.add_parser("corank", help="integer rank and corank of a matrix")
@@ -281,6 +277,9 @@ def main(argv=None, out=None) -> int:
         return _fail("excluded-surface", str(exc), out)
     except surface.NotRealizable as exc:
         return _fail("not-realizable", str(exc), out)
+    except blocks.BudgetExhausted as exc:
+        _emit({"error": "undecided", "detail": str(exc)}, out)
+        return 3
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Provides the matrix type shared by the whole package, matrix mutation,
 fraction-free integer rank, canonical forms up to simultaneous row/column
 permutation, mutation-class enumeration, a catalog of named quivers, and
-mutation-class type recognition against that catalog.
+mutation-type recognition from block witnesses and that catalog.
 """
 
 from __future__ import annotations
@@ -567,56 +567,39 @@ def _affine_d(n: int) -> ExchangeMatrix:
 _CLASS_CACHE: dict[tuple, frozenset] = {}
 
 
-def _class_keys(tag: tuple, budget: int) -> frozenset | None:
-    """Canonical keys of a catalog class; None if the budget truncated it."""
-    cached = _CLASS_CACHE.get(tag)
-    if cached is not None:
-        return cached
-    cls = mutation_class(make_quiver(tag[0], *tag[1]), max_size=budget)
-    if not cls.complete:
-        return None
-    keys = frozenset(M.rows for M in cls.matrices)
-    _CLASS_CACHE[tag] = keys
-    return keys
+def _class_keys(tag: tuple) -> frozenset:
+    """Canonical keys of an exceptional catalog class, enumerated completely."""
+    if tag not in _CLASS_CACHE:
+        cls = mutation_class(make_quiver(*tag))
+        if not cls.complete:
+            raise AssertionError(f"catalog class {tag} exceeds the class cap")
+        _CLASS_CACHE[tag] = frozenset(M.rows for M in cls.matrices)
+    return _CLASS_CACHE[tag]
 
 
 def _candidates(n: int):
-    cands = [("A", (n,))]
-    if n >= 4:
-        cands.append(("D", (n,)))
-    if n in (6, 7, 8):
-        cands.append(("E", (n,)))
-    for n1 in range((n + 1) // 2, n):
-        n2 = n - n1
-        if n2 >= 1:
-            cands.append(("AffineA", (n1, n2)))
-    if n - 1 >= 4:
-        cands.append(("AffineD", (n - 1,)))
-    if n - 1 in (6, 7, 8):
-        cands.append(("AffineE", (n - 1,)))
-    if n - 2 in (6, 7, 8):
-        cands.append(("ExtAffE", (n - 2,)))
-    for n1 in range(1, n - 3 + 1):
-        n2 = n - 3 - n1
-        if 1 <= n2 <= n1:
-            cands.append(("Gamma2", (n1, n2)))
-    for n1 in range(1, n - 2):
-        for n2 in range(1, n1 + 1):
-            n3 = n - 3 - n1 - n2
-            if 1 <= n3 <= n2:
-                cands.append(("Gamma3", (n1, n2, n3)))
-    return cands
+    """The exceptional catalog types with n vertices: E, AffineE, ExtAffE."""
+    return [(kind, k) for kind, k in (("E", n), ("AffineE", n - 1), ("ExtAffE", n - 2)) if k in (6, 7, 8)]
 
 
-def recognize_type(B: ExchangeMatrix, budget: int = 20000) -> str:
-    """Match B's mutation class against the named catalog.
+def recognize_type(B: ExchangeMatrix) -> str:
+    """Name B's mutation type, such as "A(3)", "AffineA(2,1)" or "ExtAffE(6)".
 
-    Returns a tag such as "A(3)", "AffineA(2,1)" or "ExtAffE(6)"; "Unknown"
-    when nothing matches within the exploration budget.
+    A block decomposition witnesses a surface, whose growth class names the
+    type. Without one, only the complete classes of the exceptional types E,
+    AffineE and ExtAffE of B's size are searched. "Unknown" is proven: a
+    surface of exponential growth or of type A1 x A1, or no catalog type.
+    Raises `blocks.BudgetExhausted` when the block search is undecided.
     """
+    # imported here to break the import cycle blocks -> mutation
+    from . import blocks, surface
+
+    d = blocks.decompose(B)
+    if d is not None:
+        s, _ = blocks.surface_from_decomposition(d)
+        return surface.catalog_type(surface.classify(s).growth)
     key = canonical_form(B).rows
-    for kind, params in _candidates(B.n):
-        keys = _class_keys((kind, params), budget)
-        if keys is not None and key in keys:
-            return f"{kind}({','.join(str(p) for p in params)})"
+    for kind, k in _candidates(B.n):
+        if key in _class_keys((kind, k)):
+            return f"{kind}({k})"
     return "Unknown"

@@ -151,12 +151,13 @@ class SurfaceClassification:
         return out
 
 
-# Cartan labels that coincide across surface shapes; reported as a comment,
-# never as the primary family.
+# Cartan labels that coincide across surface shapes: classify reports the
+# note as a comment, never as the primary family, and catalog_type gives
+# the type catalog's tag (A1 x A1 has no catalog entry).
 _CARTAN_NOTES = {
-    ("D", 2): "Cartan type A1 x A1",
-    ("D", 3): "Cartan type A3",
-    ("AffineD", 3): "Cartan type AffineA(2,2)",
+    "D(2)": ("Cartan type A1 x A1", "Unknown"),
+    "D(3)": ("Cartan type A3", "A(3)"),
+    "AffineD(3)": ("Cartan type AffineA(2,2)", "AffineA(2,2)"),
 }
 
 
@@ -191,8 +192,15 @@ def classify(s: MarkedSurface) -> SurfaceClassification:
     else:
         homotopy = Homotopy("contractible")
 
-    note = _CARTAN_NOTES.get((growth.family, growth.params[0]) if growth.params else None)
+    note = _CARTAN_NOTES.get(str(growth), (None,))[0]
     return SurfaceClassification(rank=n, finite_arcs=finite_arcs, growth=growth, homotopy=homotopy, note=note)
+
+
+def catalog_type(growth: Growth) -> str:
+    """The type catalog's tag for a growth class; "Unknown" for exponential growth."""
+    if growth.family == "Exponential":
+        return "Unknown"
+    return _CARTAN_NOTES.get(str(growth), (None, str(growth)))[1]
 
 
 def recover_genus_punctures(n: int, r: int) -> tuple[int, int]:

@@ -120,6 +120,15 @@ def test_is_surface_matrix_undecided(monkeypatch):
     assert data == {"error": "undecided", "detail": "block search budget of 1 calls exhausted"}
 
 
+def test_recognize_type_undecided(monkeypatch):
+    # an exhausted block search is undecided, not a reason to try the catalog
+    decompose = blocks.decompose
+    monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))
+    code, data = run(["recognize-type", "--matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
+    assert code == 3
+    assert data == {"error": "undecided", "detail": "block search budget of 1 calls exhausted"}
+
+
 def test_tagged_bfs_json_and_dot():
     code, data = run(["tagged-bfs", "--surface", '{"genus":0,"boundary":[2],"punctures":1}',
                       "--max-nodes", "50"])
@@ -145,10 +154,12 @@ def test_recognize_type_cmd():
                       '{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]}'])
     assert code == 0
     assert data["type"] == "D(4)"
-    code, data = run(["recognize-type", "--matrix", '{"n":2,"edges":[[0,1,3]]}',
-                      "--budget", "50"])
+    code, data = run(["recognize-type", "--matrix", '{"n":2,"edges":[[0,1,3]]}'])
     assert code == 1
     assert data["type"] == "Unknown"
+    code, data = run(["recognize-type", "--matrix", '{"n":0,"edges":[]}'])
+    assert code == 1
+    assert data == {"type": "Unknown"}
 
 
 def test_corank_cmd():
@@ -167,6 +178,9 @@ def test_is_surface_matrix_positive_negative(tmp_path):
     code, data = run(["is-surface-matrix", str(path)])
     assert code == 1
     assert data["error"] == "not-block-decomposable"
+    code, data = run(["is-surface-matrix", '{"n":0,"rows":[]}'])
+    assert code == 1
+    assert data["error"] == "not-block-decomposable"
 
 
 def test_block_assemble_cmd():
@@ -180,6 +194,10 @@ def test_block_assemble_cmd():
     code, data = run(["block-assemble", json.dumps(apart)])
     assert code == 1
     assert data["error"] == "invalid-decomposition"
+    long = {"n": 4, "blocks": [{"kind": "II", "vertices": [0, 1, 2, 3]}]}
+    code, data = run(["block-assemble", json.dumps(long)])
+    assert code == 1
+    assert data == {"error": "invalid-decomposition", "detail": "block II needs 3 vertices, got 4"}
 
 
 def test_denominators_cmd():

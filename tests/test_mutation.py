@@ -160,7 +160,7 @@ def test_recognize_type_basics():
     assert mu.recognize_type(mu.make_quiver("AffineA", 3, 1)) == "AffineA(3,1)"
     assert mu.recognize_type(mu.make_quiver("Gamma2", 1, 1)) == "Gamma2(1,1)"
     big = mu.from_edges(3, [(0, 1, 3)])
-    assert mu.recognize_type(big, budget=50) == "Unknown"
+    assert mu.recognize_type(big) == "Unknown"
 
 
 def test_quiver_json_roundtrip():
@@ -169,14 +169,66 @@ def test_quiver_json_roundtrip():
     assert mu.ExchangeMatrix.from_json(B.to_json()).rows == B.rows
 
 
+def _surfaces_of_rank(n):
+    """Every valid surface with 6g + 3b + 3p + c - 6 = n."""
+    from surfcluster import surface as sf
+
+    for g in range(n // 6 + 2):
+        for b in range((n + 6 - 6 * g) // 3 + 1):
+            for p in range((n + 6 - 6 * g - 3 * b) // 3 + 1):
+                c = n + 6 - 6 * g - 3 * b - 3 * p
+                for boundary in itertools.combinations_with_replacement(range(1, c + 1), b):
+                    if sum(boundary) != c:
+                        continue
+                    try:
+                        yield sf.validate_surface(g, boundary, p)
+                    except ValueError:  # excluded or without marked points
+                        pass
+
+
 def test_recognize_matches_surface_classification():
-    # the matrix of a polynomial-growth surface is recognized as exactly the
-    # family its classification names
+    # every surface of rank 1-7: a polynomial-growth surface's matrix lies in
+    # the complete class of the catalog quiver its family names, and
+    # recognize_type names that family; exponential growth is "Unknown"
     from surfcluster import surface as sf, trimap as tm
 
-    for desc in [(0, [7], 0), (0, [4], 1), (0, [3, 2], 0), (0, [2], 2),
-                 (0, [2, 1], 1), (0, [2, 1, 1], 0)]:
-        s = sf.validate_surface(*desc)
-        B = tm.signed_adjacency(tm.initial_triangulation(s))
-        got = mu.recognize_type(B, budget=30000)
-        assert got == str(sf.classify(s).growth), desc
+    seen = 0
+    for n in range(1, 8):
+        for s in _surfaces_of_rank(n):
+            B = tm.signed_adjacency(tm.initial_triangulation(s))
+            growth = sf.classify(s).growth
+            tag = sf.catalog_type(growth)
+            if growth.family == "Exponential":
+                assert tag == "Unknown"
+            elif tag != "Unknown":  # A1 x A1 has no catalog quiver
+                kind, _, params = tag[:-1].partition("(")
+                cls = mu.mutation_class(mu.make_quiver(kind, *map(int, params.split(","))))
+                assert cls.complete and mu.canonical_form(B) in cls.matrices, s
+            assert mu.recognize_type(B) == tag, s
+            seen += 1
+    assert seen == 44
+
+
+EXCEPTIONAL_CLASS_SIZES = [
+    ("E", 6, 67), ("E", 7, 416), ("AffineE", 6, 132), ("ExtAffE", 6, 49),
+    pytest.param("E", 8, 1574, marks=pytest.mark.slow),
+    pytest.param("AffineE", 7, 1080, marks=pytest.mark.slow),
+    pytest.param("AffineE", 8, 7560, marks=pytest.mark.slow),
+    pytest.param("ExtAffE", 7, 506, marks=pytest.mark.slow),
+    pytest.param("ExtAffE", 8, 5739, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("kind, k, size", EXCEPTIONAL_CLASS_SIZES)
+def test_recognize_exceptional_types(kind, k, size):
+    # non-surface matrices are matched against these complete classes only
+    B = mu.make_quiver(kind, k)
+    assert len(mu._class_keys((kind, k))) == size
+    rng = random.Random(k)
+    M = mu.mutate(mu.mutate(B, rng.randrange(B.n)), rng.randrange(B.n))
+    perm = list(range(B.n))
+    rng.shuffle(perm)
+    relabeled = mu.ExchangeMatrix.from_rows([[M[perm[i], perm[j]] for j in range(B.n)]
+                                             for i in range(B.n)])
+    for A in (B, relabeled):
+        assert mu.recognize_type(A) == f"{kind}({k})"
