@@ -1,10 +1,11 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
 Exit codes: 0 success, 1 domain rejection (excluded surface, non-surface
-matrix, unknown type), 2 usage error, 3 undecided (the block search of
-is-surface-matrix or recognize-type ran out of budget). Rejections and
-undecided answers print a machine readable {"error": ..., "detail": ...}
-object; an unknown type prints {"type": "Unknown"}.
+matrix, unknown type, a cluster variable whose exponents leave the packed
+range), 2 usage error, 3 undecided (the block search of is-surface-matrix
+or recognize-type ran out of budget). Rejections and undecided answers
+print a machine readable {"error": ..., "detail": ...} object; an unknown
+type prints {"type": "Unknown"}.
 """
 
 from __future__ import annotations
@@ -165,7 +166,10 @@ def cmd_denominators(args, out) -> int:
 
 def cmd_cluster_vars(args, out) -> int:
     B = _load_matrix(args.matrix)
-    census = cluster.all_cluster_variables(B, limit=args.limit)
+    try:
+        census = cluster.all_cluster_variables(B, limit=args.limit)
+    except OverflowError as exc:
+        return _fail("exponent-range", str(exc), out)
     _emit(
         {
             "count": len(census.variables),

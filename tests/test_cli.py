@@ -212,6 +212,9 @@ def test_cluster_vars_cmd():
                       "--limit", "100"])
     assert code == 0
     assert data["count"] == 5 and data["complete"] is True
+    code, data = run(["cluster-vars", "--matrix", '{"n":2,"rows":[[0,30000],[-30000,0]]}'])
+    assert code == 1
+    assert data["error"] == "exponent-range"
 
 
 def test_clusters_cmd():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from surfcluster import cluster as cl, mutation as mu
+from surfcluster._explore import explore
 
 
 A2 = mu.ExchangeMatrix.from_rows([[0, 1], [-1, 0]])
@@ -22,6 +23,76 @@ def test_laurent_arithmetic():
         (x + y).div_exact(x + y + one)
     with pytest.raises(cl.ZeroElement):
         cl.LaurentPoly.constant(2, 0).min_exponents()
+
+
+def test_mixed_variable_counts_raise():
+    x2 = cl.LaurentPoly.variable(2, 0)
+    x3 = cl.LaurentPoly.variable(3, 2)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a.div_exact(b)):
+        with pytest.raises(ValueError):
+            op(x2, x3)
+        with pytest.raises(ValueError):
+            op(x3, x2)
+    with pytest.raises(ValueError):
+        cl.LaurentPoly(2, {(1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        cl.LaurentPoly.monomial(3, (1, 2))
+
+
+def test_pow_multiplies_only_as_needed(monkeypatch):
+    x = cl.LaurentPoly.variable(3, 0)
+    y = cl.LaurentPoly.variable(3, 1)
+    p = x + y + cl.LaurentPoly.monomial(3, (0, -1, 2), -2)
+    products = [cl.LaurentPoly.constant(3, 1)]
+    for _ in range(5):
+        products.append(products[-1] * p)
+    for k, expected in enumerate(products):
+        assert p ** k == expected
+    calls = []
+    mul = cl.LaurentPoly.__mul__
+    monkeypatch.setattr(cl.LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert p ** 1 == p
+    assert len(calls) <= 1
+
+
+def test_exponent_range_is_guarded():
+    W = cl.EXPONENT_BITS
+    top, bottom = 2 ** (W - 1) - 1, -2 ** (W - 1)
+    mono = cl.LaurentPoly.monomial
+    assert (mono(2, (top, 0)) * mono(2, (0, top))).terms == {(top, top): 1}
+    assert (mono(2, (bottom, 3)) * mono(2, (0, bottom))).terms == {(bottom, bottom + 3): 1}
+    assert (mono(2, (top, bottom)) + mono(2, (bottom, top))).min_exponents() == (bottom, bottom)
+    for a, b in [((top, 0), (1, 0)), ((0, top), (0, 1)), ((5, top), (-5, 1)),
+                 ((bottom, 0), (-1, 0)), ((0, bottom), (0, -1)), ((0, bottom), (1, -1))]:
+        with pytest.raises(OverflowError):
+            mono(2, a) * mono(2, b)
+        with pytest.raises(OverflowError):
+            mono(2, a).shifted(b)
+    with pytest.raises(OverflowError):
+        cl.LaurentPoly.variable(1, 0) ** (2 ** W)
+    with pytest.raises(OverflowError):
+        mono(1, (top + 1,))
+    with pytest.raises(OverflowError):
+        mono(1, (bottom,)).div_exact(mono(1, (1,)))
+
+
+def test_div_exact_at_the_edge_of_the_range():
+    W = cl.EXPONENT_BITS
+    top, bottom = 2 ** (W - 1) - 1, -2 ** (W - 1)
+    mono = cl.LaurentPoly.monomial
+    one = cl.LaurentPoly.constant(2, 1)
+    x0, x1 = cl.LaurentPoly.variable(2, 0), cl.LaurentPoly.variable(2, 1)
+    for p, q in [(mono(2, (0, top)), x0 + x1),
+                 (mono(2, (bottom, 0)) * (x1 + one), x0 + one),
+                 (mono(2, (top, bottom)), mono(2, (bottom, top)) + mono(2, (bottom, top - 1))),
+                 (mono(2, (bottom, top)), x1 + one)]:
+        with pytest.raises(cl.NonLaurentResult):
+            p.div_exact(q)
+    assert (mono(2, (top, 0)) * (x1 + one)).div_exact(x1 + one) == mono(2, (top, 0))
+    assert mono(2, (top, -1)).div_exact(mono(2, (top - 1, bottom))) == mono(2, (1, top))
+    with pytest.raises(OverflowError):
+        mono(2, (top, 0)).div_exact(mono(2, (top, bottom)))
 
 
 def test_div_exact_laurent_shifts():
@@ -84,14 +155,57 @@ def test_infinite_type_truncates():
     assert len(census.variables) >= 20
 
 
-def test_capped_census_is_a_subset():
+@pytest.fixture(scope="module")
+def e6_census():
+    return cl.all_cluster_variables(mu.make_quiver("E", 6), 2000)
+
+
+def test_e6_census(e6_census):
+    assert e6_census.complete and e6_census.seeds_seen == 833
+    assert len(e6_census.variables) == 42
+    assert len({cl.denominator_vector(v) for v in e6_census.variables}) == 42
+
+
+def test_capped_census_is_a_subset(e6_census):
     d4 = mu.make_quiver("D", 4)
-    full = cl.all_cluster_variables(d4, 2000)
-    assert full.complete and full.seeds_seen == 50
-    for cap in (1, 10, 49):
-        census = cl.all_cluster_variables(d4, cap)
-        assert not census.complete and census.seeds_seen == cap
-        assert set(census.variables) <= set(full.variables)
+    d4_census = cl.all_cluster_variables(d4, 2000)
+    assert d4_census.complete and d4_census.seeds_seen == 50
+    for B, full, caps in [(d4, d4_census, (1, 10, 49)),
+                          (mu.make_quiver("E", 6), e6_census, (1, 100, 832))]:
+        for cap in caps:
+            census = cl.all_cluster_variables(B, cap)
+            assert not census.complete and census.seeds_seen == cap
+            assert set(census.variables) <= set(full.variables)
+
+
+@pytest.mark.parametrize("B", [mu.make_quiver("A", 3), mu.make_quiver("D", 4),
+                               mu.make_quiver("E", 6)])
+def test_census_without_the_parent_move_keeps_the_search(B):
+    # skipping the move back to the parent changes no admitted seed or its order
+    def every_move(s):
+        return (cl.mutate_seed(s, k) for k in range(B.n))
+
+    for cap in (3, 10, 40, 200):
+        seeds, _, _, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
+        census = cl.all_cluster_variables(B, cap)
+        assert (census.seeds_seen, census.complete) == (len(seeds), complete)
+        assert set(census.variables) == {p for s in seeds for p in s.cluster}
+
+
+@pytest.mark.parametrize("B", [mu.make_quiver("A", 3), mu.make_quiver("D", 4),
+                               mu.make_quiver("E", 6)])
+def test_mutate_seed_is_an_involution(B):
+    # the census skips the move back to the parent because of this identity
+    rng = random.Random(B.n)
+    seed = cl.Seed.initial(B)
+    for _ in range(15):
+        k = rng.randrange(B.n)
+        child = cl.mutate_seed(seed, k)
+        assert child.mutated_at == k
+        back = cl.mutate_seed(child, k)
+        assert back.cluster == seed.cluster and back.matrix.rows == seed.matrix.rows
+        assert back == cl.Seed(seed.cluster, seed.matrix)  # mutated_at is not compared
+        seed = child
 
 
 def test_tropical_matches_symbolic_along_random_paths():
@@ -131,3 +245,39 @@ def test_seed_determined_by_cluster():
                         mu.canonical_form(s2.matrix).rows
         frontier = nxt
     assert len(seen) == 50
+
+
+def test_laurent_arithmetic_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+
+    def random_poly(nvars):
+        terms = {tuple(rng.randint(-3, 3) for _ in range(nvars)): rng.randint(-5, 5)
+                 for _ in range(rng.randint(1, 4))}
+        return cl.LaurentPoly(nvars, terms) or cl.LaurentPoly.constant(nvars, rng.choice((-1, 1)))
+
+    def expr(p, gens):
+        return sympy.Add(*(c * sympy.Mul(*(x ** e for x, e in zip(gens, exp)))
+                           for exp, c in p.terms.items()))
+
+    def polynomial(p, gens):
+        # x^-min * p, the polynomial the division algorithm works on
+        return expr(p.shifted([-e for e in p.min_exponents()]), gens)
+
+    inexact = 0
+    for trial in range(120):
+        nvars = 1 + trial % 5
+        gens = sympy.symbols(f"x0:{nvars}")
+        p, q = random_poly(nvars), random_poly(nvars)
+        assert p.min_exponents() == tuple(min(e[i] for e in p.terms) for i in range(nvars))
+        assert sympy.expand(expr(p + q, gens) - expr(p, gens) - expr(q, gens)) == 0
+        assert sympy.expand(expr(p * q, gens) - expr(p, gens) * expr(q, gens)) == 0
+        assert (p * q).div_exact(q) == p
+        quotient, remainder = sympy.div(polynomial(p, gens), polynomial(q, gens), *gens)
+        if remainder != 0 or not all(c.is_integer for c in sympy.Poly(quotient, *gens).coeffs()):
+            inexact += remainder != 0
+            with pytest.raises(cl.NonLaurentResult):
+                p.div_exact(q)
+        else:
+            assert sympy.expand(expr(p.div_exact(q), gens) * expr(q, gens) - expr(p, gens)) == 0
+    assert inexact > 50
