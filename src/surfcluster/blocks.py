@@ -128,36 +128,127 @@ class BudgetExhausted(RuntimeError):
     """The block search made more calls than its budget allows: undecided."""
 
 
+# Twin locals: swapping each pair maps the block's edges and outlets onto
+# themselves (the pairs never share an edge). A placement and its swapped copy
+# leave the same residuals, loads and roles on the same vertex set, so the
+# search places only the copy with vertices[i] < vertices[j]: the
+# lexicographically least tuple of its orbit, since the pairs of V are
+# disjoint and sort independently. II's rotation, an automorphism but not a
+# swap, is left out.
+_TWINS: dict[str, tuple[tuple[int, int], ...]] = {
+    "IIIa": ((0, 1),),
+    "IIIb": ((0, 1),),
+    "IV": ((2, 3),),
+    "V": ((1, 2), (3, 4)),
+}
+
+
+def _plan(kind: str, a: int, b: int):
+    """How to complete a block whose edge (a, b) carries the demanded arrow.
+
+    The free locals come in a fixed order, most constrained first: the one
+    with the most block edges into the locals already placed, ties to the
+    lowest index. Each step is (local, outlet flag, the block edges it closes
+    as (other local, whether the edge leaves the new local), its placed twin
+    or -1, and whether the new vertex must exceed that twin's)."""
+    size, outlets, edges = BLOCK_SPECS[kind]
+    placed = [a, b]
+    steps = []
+    while len(placed) < size:
+        def anchored(w):
+            return sum(1 for p, q in edges if (p == w and q in placed) or (q == w and p in placed))
+
+        w = max((w for w in range(size) if w not in placed), key=anchored)
+        closes = tuple((q, True) for p, q in edges if p == w and q in placed) \
+            + tuple((p, False) for p, q in edges if q == w and p in placed)
+        twin, above = -1, False
+        for i, j in _TWINS.get(kind, ()):
+            if w in (i, j) and (i + j - w) in placed:
+                twin, above = i + j - w, w == j
+        steps.append((w, w in outlets, closes, twin, above))
+        placed.append(w)
+    return kind, size, a, b, a in outlets, b in outlets, tuple(steps)
+
+
+# one plan per (block kind, start edge)
+_PLANS = tuple(_plan(kind, a, b) for kind in _KIND_ORDER for a, b in BLOCK_SPECS[kind][2])
+
+
 class _Search:
     """Backtracking state. res[u][v] is B[u, v] minus the net number of placed
     arrows u -> v, and load[u][v] counts the placed arrows between u and v in
     either direction. Opposite arrows cancel and a pair carries at most two
     arrows, so a pair can still be finished exactly when |res| + load <= 2.
+
+    Each call picks one demanded arrow u -> v (a positive residual) and tries,
+    in the order of the key (gain, kind, vertices), every single block
+    placement that puts an arrow on u -> v and leaves each of its pairs
+    finishable. `_PLANS` precompiles the enumeration: per block kind and
+    start edge (a, b) with a -> u and b -> v, a fixed order for the other
+    locals and the block edges each one closes, so a candidate vertex is
+    checked only against those edges. Candidates come from two lists built
+    once per call, the vertices usable as an outlet and as a non-outlet.
+
+    Only the least copy of each `_TWINS` orbit is tried. The copies have the
+    same gain and kind, so the least comes first in the key order; the others
+    would start from the same residuals, loads and roles, and the same block
+    vertex sets for the connectivity check, so their searches retrace the
+    failed one's (with at least as many memo entries). Skipping them leaves
+    every witness unchanged and only lowers the call count, so budget
+    exhaustion can only become rarer. A placement carries u -> v through
+    exactly one block edge, so none is produced twice.
+
+    `_add` keeps the demands incrementally: the set `positive` of pairs with
+    a positive residual, and per vertex the sum of its positive residuals
+    going out (`dout`) and coming in (`din`).
     """
 
     def __init__(self, B: ExchangeMatrix):
-        self.n = B.n
+        n = self.n = B.n
         self.res = [list(row) for row in B.rows]
-        self.load = [[0] * B.n for _ in range(B.n)]
-        self.usage: list[list[bool]] = [[] for _ in range(B.n)]  # outlet flag per role
+        self.load = [[0] * n for _ in range(n)]
+        self.usage: list[list[bool]] = [[] for _ in range(n)]  # outlet flag per role
         self.blocks: list[BlockPlacement] = []
         self.calls = 0
         self.failed: set = set()
+        self.positive = {(u, v) for u, row in enumerate(B.rows) for v, r in enumerate(row) if r > 0}
+        self.dout = [sum(r for r in row if r > 0) for row in B.rows]
+        self.din = [sum(-r for r in row if r < 0) for row in B.rows]
 
     def demands(self):
-        return [(r, u, v) for u, row in enumerate(self.res) for v, r in enumerate(row) if r > 0]
+        return [(self.res[u][v], u, v) for u, v in self.positive]
 
     def can_use(self, v, as_outlet):
         roles = self.usage[v]
         return not roles or (len(roles) == 1 and roles[0] and as_outlet)
 
     def _add(self, pl: BlockPlacement, sign: int):
+        res, load, dout, din, positive = self.res, self.load, self.dout, self.din, self.positive
         for a, b in BLOCK_SPECS[pl.kind][2]:
             u, v = pl.vertices[a], pl.vertices[b]
-            self.res[u][v] -= sign
-            self.res[v][u] += sign
-            self.load[u][v] += sign
-            self.load[v][u] += sign
+            load[u][v] += sign
+            load[v][u] += sign
+            # res stays skew-symmetric: the pair's positive residual sits on
+            # (u, v) or (v, u) by the sign of res[u][v]
+            old = res[u][v]
+            new = res[u][v] = old - sign
+            res[v][u] = -new
+            if old > 0:
+                dout[u] -= old
+                din[v] -= old
+                positive.discard((u, v))
+            elif old < 0:
+                dout[v] += old
+                din[u] += old
+                positive.discard((v, u))
+            if new > 0:
+                dout[u] += new
+                din[v] += new
+                positive.add((u, v))
+            elif new < 0:
+                dout[v] -= new
+                din[u] -= new
+                positive.add((v, u))
 
     def place(self, pl: BlockPlacement):
         outlets = BLOCK_SPECS[pl.kind][1]
@@ -173,55 +264,61 @@ class _Search:
         self.blocks.pop()
 
     def placements_covering(self, u, v):
-        """All single-block placements contributing an arrow u -> v."""
-        out = []
-        seen = set()
-        for kind in _KIND_ORDER:
-            size, outlets, edges = BLOCK_SPECS[kind]
-            for (a, b) in edges:
-                assign = {a: u, b: v}
-                if not (self.can_use(u, a in outlets) and self.can_use(v, b in outlets)):
-                    continue
-                if self._edges_feasible_partial(edges, assign):
-                    self._complete(kind, size, outlets, edges, assign, out, seen)
+        """Sort keys (gain, kind, vertices) of the single-block placements
+        that put an arrow u -> v and leave every pair finishable, one per
+        twin orbit, in the order the search tries them. gain is minus the
+        number of the block's arrows that land on a positive residual."""
+        res, load = self.res, self.load
+        # a block puts at most one arrow on a pair of its vertices, and one
+        # more arrow p -> q leaves the pair finishable when |res - 1| + load
+        # <= 1, which under |res| + load <= 2 reads res >= load
+        if res[u][v] < load[u][v]:
+            return []
+        candidates = tuple([x for x in range(self.n) if self.can_use(x, as_outlet)]
+                           for as_outlet in (False, True))
+        gain = -1 if res[u][v] > 0 else 0
+        out: list = []
+        for kind, size, a, b, a_outlet, b_outlet, steps in _PLANS:
+            if self.can_use(u, a_outlet) and self.can_use(v, b_outlet):
+                assign = [-1] * size
+                assign[a], assign[b] = u, v
+                if steps:
+                    self._complete(kind, steps, 0, assign, gain, candidates, out)
+                else:
+                    out.append((gain, kind, tuple(assign)))
+        out.sort()
         return out
 
-    def _complete(self, kind, size, outlets, edges, assign, out, seen):
-        # every assignment reaching here has passed _edges_feasible_partial
-        free = [w for w in range(size) if w not in assign]
-        if not free:
-            pl = BlockPlacement(kind, tuple(assign[i] for i in range(size)))
-            if pl not in seen:
-                seen.add(pl)
-                out.append(pl)
-            return
-        # most-constrained first: free vertex with most block edges into the
-        # assigned part
-        def anchored(w):
-            return sum(1 for a, b in edges if (a == w and b in assign) or (b == w and a in assign))
-
-        w = max(free, key=anchored)
-        used = set(assign.values())
-        for x in range(self.n):
-            if x in used:
+    def _complete(self, kind, steps, i, assign, gain, candidates, out):
+        w, outlet, closes, twin, above = steps[i]
+        last = i + 1 == len(steps)
+        res, load = self.res, self.load
+        low, high = -1, self.n
+        if twin >= 0:
+            if above:
+                low = assign[twin]
+            else:
+                high = assign[twin]
+        for x in candidates[outlet]:
+            if x <= low or x in assign:
                 continue
-            if not self.can_use(x, w in outlets):
-                continue
-            assign[w] = x
-            if self._edges_feasible_partial(edges, assign):
-                self._complete(kind, size, outlets, edges, assign, out, seen)
-            del assign[w]
-
-    def _edges_feasible_partial(self, edges, assign):
-        # block edges between assigned vertices must leave every pair
-        # completable; with all vertices assigned this checks the placement.
-        # A block puts at most one arrow on a pair of its vertices.
-        for a, b in edges:
-            if a in assign and b in assign:
-                u, v = assign[a], assign[b]
-                if abs(self.res[u][v] - 1) + self.load[u][v] + 1 > 2:
-                    return False
-        return True
+            if x >= high:
+                break
+            g = gain
+            for o, outgoing in closes:
+                p, q = (x, assign[o]) if outgoing else (assign[o], x)
+                r = res[p][q]
+                if r < load[p][q]:  # the pair test of placements_covering
+                    break
+                if r > 0:
+                    g -= 1
+            else:
+                assign[w] = x
+                if last:
+                    out.append((g, kind, tuple(assign)))
+                else:
+                    self._complete(kind, steps, i + 1, assign, g, candidates, out)
+        assign[w] = -1
 
     # -- search driver ------------------------------------------------------
 
@@ -229,22 +326,17 @@ class _Search:
         return (tuple(map(tuple, self.res)), tuple(map(tuple, self.load)),
                 tuple(tuple(sorted(r)) for r in self.usage))
 
-    def _degree_feasible(self, demands):
+    def _degree_feasible(self):
         # remaining star of each vertex must fit in its free block roles:
         # one role carries at most 2 outgoing and 2 incoming edges
-        dout = [0] * self.n
-        din = [0] * self.n
-        for r, u, v in demands:
-            dout[u] += r
-            din[v] += r
-        for v in range(self.n):
-            if not dout[v] and not din[v]:
+        for v, roles in enumerate(self.usage):
+            dout, din = self.dout[v], self.din[v]
+            if not dout and not din:
                 continue
-            roles = self.usage[v]
             free = 0 if (roles and not all(roles)) else 2 - len(roles)
             if free == 0:
                 return False
-            if dout[v] > 2 * free or din[v] > 2 * free:
+            if dout > 2 * free or din > 2 * free:
                 return False
         return True
 
@@ -262,27 +354,16 @@ class _Search:
         self.calls += 1
         if self.calls > budget:
             raise BudgetExhausted(f"block search budget of {budget} calls exhausted")
-        demands = self.demands()
-        if not demands:
+        if not self.positive:
             return self._close_up()
-        if not self._degree_feasible(demands):
+        if not self._degree_feasible():
             return None
         key = self._state_key()
         if key in self.failed:
             return None
-        _, u, v = self._pick_demand(demands)
-        placements = self.placements_covering(u, v)
-
-        def helps(pl):
-            _, _, edges = BLOCK_SPECS[pl.kind]
-            gain = 0
-            for a, b in edges:
-                if self.res[pl.vertices[a]][pl.vertices[b]] > 0:
-                    gain -= 1
-            return (gain, pl.kind, pl.vertices)
-
-        placements.sort(key=helps)
-        for pl in placements:
+        _, u, v = self._pick_demand(self.demands())
+        for _, kind, vertices in self.placements_covering(u, v):
+            pl = BlockPlacement(kind, vertices)
             self.place(pl)
             found = self._search(budget)
             if found is not None:

@@ -11,6 +11,7 @@ type prints {"type": "Unknown"}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -272,9 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call, not at import; parsing leaves the parser unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
     except (surface.ExcludedSurface, surface.EmptyMarking) as exc:

@@ -57,6 +57,14 @@ class ExchangeMatrix:
         i, j = ij
         return self.rows[i][j]
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "ExchangeMatrix":
+        """Wrap rows already known to be square and skew-symmetric, without
+        the check of __post_init__."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @staticmethod
     def from_rows(rows) -> "ExchangeMatrix":
         return ExchangeMatrix(tuple(tuple(int(x) for x in row) for row in rows))
@@ -132,17 +140,26 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     n = B.n
     if not 0 <= k < n:
         raise IndexOutOfRange(f"mutation index {k} out of range for n={n}")
-    old = B.rows
+    # b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 off row and column k,
+    # that is b_ij + |b_ik| times the positive (b_ik > 0) or negative
+    # (b_ik < 0) part of b_kj, so a row with b_ik = 0 stays as it is; row
+    # and column k change sign. The result is skew-symmetric by construction.
+    row_k = B.rows[k]
+    plus = [x if x > 0 else 0 for x in row_k]
+    minus = [x if x < 0 else 0 for x in row_k]
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-old[i][j])
-            else:
-                row.append(old[i][j] + (abs(old[i][k]) * old[k][j] + old[i][k] * abs(old[k][j])) // 2)
-        rows.append(tuple(row))
-    return ExchangeMatrix(tuple(rows))
+    for i, row in enumerate(B.rows):
+        c = row[k]
+        if i == k:
+            row = tuple(-x for x in row)
+        elif c:
+            part = plus if c > 0 else minus
+            a = abs(c)
+            new = [x + a * y for x, y in zip(row, part)]
+            new[k] = -c
+            row = tuple(new)
+        rows.append(row)
+    return ExchangeMatrix._trusted(tuple(rows))
 
 
 def rank(B: ExchangeMatrix) -> int:

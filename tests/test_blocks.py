@@ -317,3 +317,80 @@ def test_random_assemblies_round_trip():
         assert tm.signed_adjacency(T).rows == B.rows
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# candidate enumeration of the search
+
+
+def _orbit(kind, verts):
+    """verts under every combination of the kind's twin swaps."""
+    out = {tuple(verts)}
+    for i, j in bl._TWINS.get(kind, ()):
+        for t in list(out):
+            s = list(t)
+            s[i], s[j] = s[j], s[i]
+            out.add(tuple(s))
+    return out
+
+
+def test_twins_are_block_automorphisms():
+    for kind, pairs in bl._TWINS.items():
+        size, outlets, edges = bl.BLOCK_SPECS[kind]
+        for i, j in pairs:
+            swap = list(range(size))
+            swap[i], swap[j] = j, i
+            assert {(swap[a], swap[b]) for a, b in edges} == set(edges), (kind, i, j)
+            assert {swap[a] for a in outlets} == set(outlets), (kind, i, j)
+
+
+def _brute_covering(state):
+    """(u, v) -> sorted (gain, kind, vertices) of the placements that put an
+    arrow u -> v, straight from the definition, one per twin orbit."""
+    n, res, load = state.n, state.res, state.load
+    found = {}
+    for kind, (size, outlets, edges) in bl.BLOCK_SPECS.items():
+        for verts in itertools.permutations(range(n), size):
+            if not all(state.can_use(x, local in outlets) for local, x in enumerate(verts)):
+                continue
+            if any(abs(res[verts[a]][verts[b]] - 1) + load[verts[a]][verts[b]] + 1 > 2 for a, b in edges):
+                continue
+            if verts != min(_orbit(kind, verts)):
+                continue
+            gain = -sum(1 for a, b in edges if res[verts[a]][verts[b]] > 0)
+            for a, b in edges:
+                found.setdefault((verts[a], verts[b]), []).append((gain, kind, verts))
+    return {uv: sorted(keys) for uv, keys in found.items()}
+
+
+def test_placements_covering_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = rng.choice([-2, -1, -1, 0, 0, 0, 1, 1, 2])
+                rows[i][j], rows[j][i] = v, -v
+        state = bl._Search(mu.ExchangeMatrix.from_rows(rows))
+        # a partial state: up to three placements that the search would try
+        for _ in range(rng.randint(0, 3)):
+            demands = state.demands()
+            if not demands:
+                break
+            _, u, v = rng.choice(demands)
+            keys = state.placements_covering(u, v)
+            if not keys:
+                break
+            _, kind, verts = rng.choice(keys)
+            state.place(bl.BlockPlacement(kind, verts))
+        brute = _brute_covering(state)
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                keys = state.placements_covering(u, v)
+                assert keys == brute.get((u, v), []), (rows, u, v)
+                # no two automorphic copies in one list
+                orbits = [frozenset(_orbit(kind, verts)) for _, kind, verts in keys]
+                assert len(set(zip((k for _, k, _ in keys), orbits))) == len(keys)

@@ -230,3 +230,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_parsers():
+    # main() reuses one parser per process; a call after a usage error, or
+    # after any other call, answers as it would with a parser of its own
+    calls = [
+        ["corank", "--matrix", '{"n": 2, "edges": [[0, 1]]}'],
+        ["no-such-command"],
+        ["is-surface-matrix", '{"n": 3, "edges": [[0, 1], [1, 2]]}'],
+        ["corank"],
+        ["recognize-type", "--matrix", '{"n": 2, "edges": [[0, 1, 3]]}'],
+        ["corank", "--matrix", '{"n": 2, "edges": [[0, 1]]}'],
+    ]
+
+    def answers(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                got.append(run(argv))
+            except SystemExit as exc:
+                got.append(("exit", exc.code))
+        return got
+
+    fresh = answers(fresh=True)
+    assert ("exit", 2) in fresh
+    assert answers(fresh=False) == fresh

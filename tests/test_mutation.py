@@ -41,6 +41,25 @@ def test_mutation_involutive_random():
         assert mu.mutate(mu.mutate(B, k), k).rows == B.rows
 
 
+def test_mutate_matches_textbook_formula():
+    # b'_ij = -b_ij on row and column k, else
+    # b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 (Fomin-Zelevinsky)
+    def textbook(b, k):
+        n = len(b)
+        return tuple(tuple(-b[i][j] if k in (i, j)
+                           else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+                           for j in range(n)) for i in range(n))
+
+    rng = random.Random(31)
+    for _ in range(300):
+        B = rand_skew(rng, rng.randint(1, 7))
+        for k in range(B.n):
+            M = mu.mutate(B, k)
+            assert M.rows == textbook(B.rows, k)
+            assert mu.ExchangeMatrix.from_rows(M.rows) == M  # skew-symmetric
+            assert mu.mutate(M, k) == B
+
+
 def test_rank_bareiss():
     B = mu.ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     assert mu.rank(B) == 2 and mu.corank(B) == 1
