@@ -3,7 +3,8 @@
 Provides the matrix type shared by the whole package, matrix mutation,
 fraction-free integer rank, canonical forms up to simultaneous row/column
 permutation, mutation-class enumeration, a catalog of named quivers, and
-mutation-type recognition from block witnesses and that catalog.
+mutation-type recognition from block witnesses, else by a search from the
+input toward the catalog's exceptional quivers.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def quiver_to_json(B: ExchangeMatrix) -> dict:
 
 
 def quiver_from_json(data: dict) -> ExchangeMatrix:
-    """Read outside JSON: an integer n and integer edges [i, j] or [i, j, w], 0 <= i, j < n."""
+    """Read outside JSON: an integer n and integer edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0 or type(edges) is not list:
         raise ValueError("a quiver needs an integer n >= 0 and a list of edges")
@@ -127,6 +128,8 @@ def quiver_from_json(data: dict) -> ExchangeMatrix:
         if not (_is_int_list(edge) and len(edge) in (2, 3) and 0 <= edge[0] < n and 0 <= edge[1] < n):
             raise ValueError(f"quiver edge must be [i, j] or [i, j, w] of integers with 0 <= i, j < {n}, "
                              f"got {edge!r}")
+        if edge[0] == edge[1]:
+            raise ValueError(f"quiver edge must join two distinct vertices, got the loop {edge!r}")
     return from_edges(n, edges)
 
 
@@ -215,14 +218,16 @@ def is_acyclic(B: ExchangeMatrix) -> bool:
 
 
 def _refine(rows, colors):
-    n = len(rows)
+    # Colors are renumbered 0.. in signature order, which keeps the order of
+    # the old colors; a pass that splits no cell is therefore stable.
+    cells = len(set(colors))
     while True:
-        sig = [(colors[i], tuple(sorted((colors[j], rows[i][j]) for j in range(n)))) for i in range(n)]
-        order = sorted(set(sig))
-        new = [order.index(s) for s in sig]
-        if new == colors:
+        sig = [(c, tuple(sorted(zip(colors, row)))) for c, row in zip(colors, rows)]
+        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
+        colors = [rank[s] for s in sig]
+        if len(rank) == cells:
             return colors
-        colors = new
+        cells = len(rank)
 
 
 def _permuted_rows(rows, perm):
@@ -282,7 +287,7 @@ def canonical_form(B: ExchangeMatrix, max_n: int = 64) -> ExchangeMatrix:
             search(_refine(rows, nxt))
 
     search(colors)
-    return ExchangeMatrix(best[0])
+    return ExchangeMatrix._trusted(best[0])  # a permuted skew-symmetric matrix
 
 
 @dataclass(frozen=True)
@@ -581,17 +586,14 @@ def _affine_d(n: int) -> ExchangeMatrix:
 # ---------------------------------------------------------------------------
 # type recognition
 
-_CLASS_CACHE: dict[tuple, frozenset] = {}
-
-
-def _class_keys(tag: tuple) -> frozenset:
-    """Canonical keys of an exceptional catalog class, enumerated completely."""
-    if tag not in _CLASS_CACHE:
-        cls = mutation_class(make_quiver(*tag))
-        if not cls.complete:
-            raise AssertionError(f"catalog class {tag} exceeds the class cap")
-        _CLASS_CACHE[tag] = frozenset(M.rows for M in cls.matrices)
-    return _CLASS_CACHE[tag]
+# Sizes of the exceptional mutation classes, up to simultaneous permutation;
+# every member of these classes has all entries in -2..2.
+_CLASS_ENTRY_BOUND = 2
+_CLASS_SIZES = {
+    ("E", 6): 67, ("E", 7): 416, ("E", 8): 1574,
+    ("AffineE", 6): 132, ("AffineE", 7): 1080, ("AffineE", 8): 7560,
+    ("ExtAffE", 6): 49, ("ExtAffE", 7): 506, ("ExtAffE", 8): 5739,
+}
 
 
 def _candidates(n: int):
@@ -603,9 +605,16 @@ def recognize_type(B: ExchangeMatrix) -> str:
     """Name B's mutation type, such as "A(3)", "AffineA(2,1)" or "ExtAffE(6)".
 
     A block decomposition witnesses a surface, whose growth class names the
-    type. Without one, only the complete classes of the exceptional types E,
-    AffineE and ExtAffE of B's size are searched. "Unknown" is proven: a
-    surface of exponential growth or of type A1 x A1, or no catalog type.
+    type; exponential growth and A1 x A1 are "Unknown". Without one, B is of
+    no catalog type unless it lies in the class c of an exceptional type E,
+    AffineE or ExtAffE with B's number of vertices (Felikson-Shapiro-Tumarkin).
+    A breadth-first search from canonical_form(B) stops at the first key of
+    a candidate's catalog quiver. The answer is proven: each c is finite, of
+    size s(c) (`_CLASS_SIZES`), and all entries of its members lie in -2..2.
+    So if B ~ c, the search sees no entry beyond 2 and meets the key of c's
+    catalog quiver before it admits s(c) nodes. An entry beyond 2, a complete
+    search without a hit, or more than max s(c) nodes therefore means
+    "Unknown". Nothing is kept between calls.
     Raises `blocks.BudgetExhausted` when the block search is undecided.
     """
     # imported here to break the import cycle blocks -> mutation
@@ -615,8 +624,23 @@ def recognize_type(B: ExchangeMatrix) -> str:
     if d is not None:
         s, _ = blocks.surface_from_decomposition(d)
         return surface.catalog_type(surface.classify(s).growth)
-    key = canonical_form(B).rows
-    for kind, k in _candidates(B.n):
-        if key in _class_keys((kind, k)):
-            return f"{kind}({k})"
-    return "Unknown"
+    tags = _candidates(B.n)
+    if not tags or not B.entries_bounded_by(_CLASS_ENTRY_BOUND):
+        return "Unknown"
+    known = {canonical_form(make_quiver(kind, k)).rows: f"{kind}({k})" for kind, k in tags}
+    hit = []
+
+    def moves(M):
+        for k in range(M.n):
+            Mk = mutate(M, k)
+            C = canonical_form(Mk) if Mk.entries_bounded_by(_CLASS_ENTRY_BOUND) else None
+            if C is not None and C.rows in known:
+                hit.append(known[C.rows])
+                C = None
+            yield C  # None ends the search
+
+    start = canonical_form(B)
+    if start.rows in known:
+        return known[start.rows]
+    explore(start, moves, _rows, max(_CLASS_SIZES[tag] for tag in tags))
+    return hit[0] if hit else "Unknown"

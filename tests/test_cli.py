@@ -78,11 +78,14 @@ def test_malformed_triangulation_exits_2(key, value, capsys):
     '{"rows":5}',
     '{"n":2,"edges":[[0,1,"2"]]}',
     '[[0,1],[-1,0]]',
-], ids=["float-entry", "negative-index", "index-past-n", "rows-not-a-list", "string-weight", "not-an-object"])
+    '{"n":3,"edges":[[0,0,1]]}',
+], ids=["float-entry", "negative-index", "index-past-n", "rows-not-a-list", "string-weight", "not-an-object",
+        "self-loop"])
 def test_malformed_matrix_exits_2(matrix, capsys):
-    code, out = run(["corank", "--matrix", matrix])
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err.startswith("invalid input: ")
+    for command in ("corank", "recognize-type"):
+        code, out = run([command, "--matrix", matrix])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 @pytest.mark.parametrize("descriptor", [

@@ -16,6 +16,12 @@ def rand_skew(rng, n, bound=3):
     return mu.ExchangeMatrix.from_rows(rows)
 
 
+def relabel(B, rng):
+    perm = list(range(B.n))
+    rng.shuffle(perm)
+    return mu.ExchangeMatrix.from_rows([[B[perm[i], perm[j]] for j in range(B.n)] for i in range(B.n)])
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         mu.ExchangeMatrix.from_rows([[0, 1], [1, 0]])
@@ -94,6 +100,28 @@ def test_canonical_form_orbit_oracle():
             if A.n == B.n:
                 assert (mu.canonical_form(A).rows == mu.canonical_form(B).rows) == \
                     (orbit_key(A) == orbit_key(B))
+
+
+def test_refine_matches_reference():
+    # the plain refinement: rank each vertex's (color, sorted (color, entry)
+    # pairs) signature and repeat until no color changes; canonical forms
+    # depend on the exact colors, not only on the partition
+    def reference(rows, colors):
+        n = len(rows)
+        while True:
+            sig = [(colors[i], tuple(sorted((colors[j], rows[i][j]) for j in range(n)))) for i in range(n)]
+            order = sorted(set(sig))
+            new = [order.index(x) for x in sig]
+            if new == colors:
+                return colors
+            colors = new
+
+    rng = random.Random(13)
+    for _ in range(300):
+        B = rand_skew(rng, rng.randint(1, 9), rng.choice((1, 2)))
+        colors = [rng.randrange(3) * 2 for _ in range(B.n)]
+        for start in ([0] * B.n, colors):
+            assert mu._refine(B.rows, start) == reference(B.rows, start)
 
 
 def test_canonical_form_idempotent_and_discrete():
@@ -240,14 +268,93 @@ EXCEPTIONAL_CLASS_SIZES = [
 
 @pytest.mark.parametrize("kind, k, size", EXCEPTIONAL_CLASS_SIZES)
 def test_recognize_exceptional_types(kind, k, size):
-    # non-surface matrices are matched against these complete classes only
+    # the facts recognize_type's proof rests on: each exceptional class is
+    # finite with its tabled size, and every member's entries lie in -2..2
     B = mu.make_quiver(kind, k)
-    assert len(mu._class_keys((kind, k))) == size
+    cls = mu.mutation_class(B)
+    assert cls.complete and cls.size == size == mu._CLASS_SIZES[kind, k]
+    assert all(M.entries_bounded_by(2) for M in cls.matrices)
     rng = random.Random(k)
     M = mu.mutate(mu.mutate(B, rng.randrange(B.n)), rng.randrange(B.n))
-    perm = list(range(B.n))
-    rng.shuffle(perm)
-    relabeled = mu.ExchangeMatrix.from_rows([[M[perm[i], perm[j]] for j in range(B.n)]
-                                             for i in range(B.n)])
-    for A in (B, relabeled):
+    for A in (B, relabel(M, rng)):
         assert mu.recognize_type(A) == f"{kind}({k})"
+
+
+def test_class_size_table_is_the_nine_exceptional_types():
+    tags = {tuple(getattr(p, "values", p)[:2]) for p in EXCEPTIONAL_CLASS_SIZES}
+    assert tags == set(mu._CLASS_SIZES)
+    assert all(tag in mu._CLASS_SIZES for n in range(1, 12) for tag in mu._candidates(n))
+
+
+REFEREE_TAGS = [("E", 6), ("E", 7), ("AffineE", 6), ("ExtAffE", 6)]
+
+
+@pytest.fixture(scope="module")
+def referee_classes():
+    return {tag: mu.mutation_class(mu.make_quiver(*tag)) for tag in REFEREE_TAGS}
+
+
+@pytest.mark.parametrize("kind, k", [
+    ("E", 6),
+    pytest.param("E", 7, marks=pytest.mark.slow),
+    ("AffineE", 6),
+    ("ExtAffE", 6),
+])
+def test_recognize_every_member(kind, k, referee_classes):
+    # each member searches on its own; nothing is kept between calls
+    for M in referee_classes[kind, k].matrices:
+        assert mu.recognize_type(M) == f"{kind}({k})"
+
+
+def test_recognize_relabeled_members(referee_classes):
+    rng = random.Random(2006)
+    for (kind, k), cls in referee_classes.items():
+        for M in rng.sample(cls.matrices, 12):
+            assert mu.recognize_type(relabel(M, rng)) == f"{kind}({k})"
+
+
+def test_recognize_random_matrices_against_class_membership():
+    # random trees on 6-8 vertices, with at most one more edge and a rare
+    # weight 2, so some are mutation-finite; each answer is checked against
+    # plain membership in every complete exceptional class of that size
+    classes = {}
+    rng = random.Random(67)
+    answers = []
+    for _ in range(40):
+        n = rng.randint(6, 8)
+        pairs = [(rng.randrange(j), j) for j in range(1, n)]
+        pairs += rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, 1))
+        B = mu.from_edges(n, [(i, j, rng.choice((1, -1) * 9 + (2, -2))) for i, j in pairs])
+        got = mu.recognize_type(B)
+        answers.append(got)
+        key = mu.canonical_form(B).rows
+        for kind, k in mu._candidates(n):
+            if (kind, k) not in classes:
+                classes[kind, k] = {M.rows for M in mu.mutation_class(mu.make_quiver(kind, k)).matrices}
+            assert (key in classes[kind, k]) == (got == f"{kind}({k})"), B.rows
+    assert "Unknown" in answers
+    assert any(tag.startswith(("E(", "AffineE(", "ExtAffE(")) for tag in answers)
+
+
+def test_recognize_mutation_infinite_with_small_entries():
+    # the tree T(3,3,4) has entries in -1..1, is not a surface, and has the
+    # size of E(8), AffineE(7) and ExtAffE(6); eleven mutations reach an
+    # entry 3, so it is mutation-infinite
+    B = mu._tree_from_arms([2, 2, 3])
+    assert B.n == 8 and B.entries_bounded_by(1)
+    M = B
+    for k in (1, 3, 0, 2, 4, 5, 0, 1, 3, 6, 0):
+        M = mu.mutate(M, k)
+    assert not M.entries_bounded_by(2)
+    assert mu.recognize_type(B) == "Unknown"
+
+
+def test_recognize_refuses_a_class_beyond_its_size(monkeypatch):
+    # with E(6) tabled at one member, a search that must admit more nodes to
+    # reach the catalog quiver proves nothing and answers "Unknown"
+    B = mu.make_quiver("E", 6)
+    far = mu.mutate(mu.mutate(mu.mutate(B, 2), 1), 3)
+    assert mu.recognize_type(far) == "E(6)"
+    monkeypatch.setitem(mu._CLASS_SIZES, ("E", 6), 1)
+    assert mu.recognize_type(B) == "E(6)"
+    assert mu.recognize_type(far) == "Unknown"
