@@ -95,6 +95,8 @@ def _usage_roles(d: BlockDecomposition):
 
 def validate_decomposition(d: BlockDecomposition):
     roles = _usage_roles(d)
+    if len(set(d.bare)) != len(d.bare):
+        raise ValueError("bare vertices must be distinct")
     for v, lst in roles.items():
         if len(lst) > 2:
             raise ValueError(f"vertex {v} lies in {len(lst)} blocks")

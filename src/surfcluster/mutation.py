@@ -30,6 +30,8 @@ class BadSpec(ValueError):
 # Mutation-class search treats entries beyond this magnitude as runaway
 # growth and reports truncation instead of continuing.
 ENTRY_CEILING = 10 ** 9
+# canonical_form refuses matrices larger than this.
+CANONICAL_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def _permuted_rows(rows, perm):
     return tuple(tuple(rows[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
 
 
-def canonical_form(B: ExchangeMatrix, max_n: int = 64) -> ExchangeMatrix:
+def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
     """Canonical representative of B's orbit under simultaneous permutation.
 
     Iterated partition refinement on (color, entry) multisets, then
@@ -243,8 +245,8 @@ def canonical_form(B: ExchangeMatrix, max_n: int = 64) -> ExchangeMatrix:
     lexicographically least permuted matrix.
     """
     n = B.n
-    if n > max_n:
-        raise DimensionTooLarge(f"n={n} exceeds canonical-form bound {max_n}")
+    if n > CANONICAL_MAX_N:
+        raise DimensionTooLarge(f"n={n} exceeds canonical-form bound {CANONICAL_MAX_N}")
     if n <= 1:
         return B
     rows = B.rows
@@ -411,31 +413,14 @@ def _extended_affine_e(k: int) -> ExchangeMatrix:
     # vertices: 0=A, 1=B, tail chain, bottom chain off A, top chain off B
     edges = [(0, 1, 2)]
     idx = 2
-    prev = None
-    for t in range(tail):
-        if t == 0:
-            # tail head closes two oriented triangles with the double edge
-            edges += [(1, idx), (idx, 0)]
-        else:
-            edges.append((prev, idx))
-        prev = idx
-        idx += 1
-    prevb = 0
-    for t in range(bottom):
-        if t == 0:
-            edges += [(1, idx), (idx, 0)]
-        else:
-            edges.append((prevb, idx))
-        prevb = idx
-        idx += 1
-    prevt = 1
-    for t in range(top):
-        if t == 0:
-            edges += [(1, idx), (idx, 0)]
-        else:
-            edges.append((prevt, idx))
-        prevt = idx
-        idx += 1
+    for length in (tail, bottom, top):
+        for t in range(length):
+            if t == 0:
+                # a chain head closes two oriented triangles with the double edge
+                edges += [(1, idx), (idx, 0)]
+            else:
+                edges.append((idx - 1, idx))
+            idx += 1
     return from_edges(idx, edges)
 
 
@@ -454,8 +439,7 @@ def _gamma2(n1: int, n2: int) -> ExchangeMatrix:
     if n1 >= 2:
         edges += [(bL, a[-2]), (a[-2], X)]
         edges += [(a[i], a[i + 1]) for i in range(n1 - 2)]
-    nxt = b[0] if n2 >= 1 else None
-    edges += [(bL, nxt), (nxt, X)]
+    edges += [(bL, b[0]), (b[0], X)]
     edges += [(b[i], b[i + 1]) for i in range(n2 - 1)]
     last = b[-1]
     edges += [(last, f1), (last, f2)]

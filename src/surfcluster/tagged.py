@@ -11,7 +11,6 @@ triangulations have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import trimap
 from ._explore import explore
@@ -35,38 +34,9 @@ class TaggedTriangulation:
     def sig(self, v: int) -> int:
         return dict(self.signatures)[v]
 
-    def signature(self) -> dict[int, int]:
-        return dict(self.signatures)
-
     @property
     def num_arcs(self) -> int:
         return self.base.num_arcs
-
-    def tagged_ends(self) -> dict[int, list[tuple[int, int]]]:
-        """puncture -> [(arc label, tag)] over all tagged arc ends at it."""
-        sig = self.signature()
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v in sig}
-        enclosed = self.base.enclosed_punctures()
-        for v, (fold, loop) in enclosed.items():
-            out[v] = [(fold, PLAIN), (loop, NOTCHED)]
-        for tri in self.base.triangles:
-            if tri.self_folded:
-                continue
-            for i in range(3):
-                e = tri.edges[i]
-                if not self.base.is_arc(e):
-                    continue
-                a = tri.vertices[i]
-                if a in sig and a not in enclosed:
-                    out[a].append((e, sig[a]))
-        # every slot start was counted once; an arc end at v corresponds to
-        # exactly one slot start over the arc's two slots
-        return out
-
-    @cached_property
-    def _flip_data(self):
-        """(tagged ends, fold arc -> enclosing loop): what every flip of self reads."""
-        return self.tagged_ends(), self.base.fold_map()
 
     def to_json(self) -> dict:
         data = self.base.to_json()
@@ -104,25 +74,31 @@ def b_matrix(T: TaggedTriangulation) -> ExchangeMatrix:
 def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
     """Flip the tagged arc labeled k; the unique other completion wins.
 
-    Map level: flip k itself, except that the plain radius at a signature-0
-    puncture flips through the enclosing loop. Tags of the completion come
-    from signs(a) = sign of the remaining tags at a (+1 where ambiguous), and
-    fold/loop labels are swapped wherever signs = -1 to restore the storage
-    convention. Both relabelings are applied to the flipped triangle list
-    before it is validated, once.
+    Relies on the storage convention: T.base has a self-folded triangle
+    exactly at the signature-0 punctures, its fold carrying the plain
+    radius's label and its loop the notched radius's, and every arc end at
+    a puncture of signature s = +-1 is tagged s.
+
+    Map level: flip k itself, except that a plain radius (the fold, whose
+    two slots lie in one triangle) flips through its loop. The completion's
+    tags at a puncture follow the tags the other arcs keep there: s at a
+    puncture of signature s = +-1; at a signature-0 puncture NOTCHED if k is
+    its plain radius, else PLAIN (only the plain radius or both radii
+    remain). Fold and loop labels are swapped wherever that sign is NOTCHED,
+    to restore the convention. Both relabelings are applied to the flipped
+    triangle list before it is validated, once.
     """
     base = T.base
     if not base.is_arc(k):
         raise ArcNotPresent(f"{k} is not an arc of this tagged triangulation")
-    ends, fold_of = T._flip_data
-    signs: dict[int, int] = {}
-    for v, lst in ends.items():
-        remaining = {tag for (e, tag) in lst if e != k}
-        if not remaining:
-            raise ArcNotPresent(f"puncture {v} would lose all its tagged ends")
-        signs[v] = PLAIN if remaining == {PLAIN} else NOTCHED if remaining == {NOTCHED} else PLAIN
+    signs = {v: s or PLAIN for v, s in T.signatures}
+    flip_edge = k
+    (t1, _), (t2, _) = base.arc_slots(k)
+    if t1 == t2:  # k is the plain radius of a self-folded triangle
+        tri = base.triangles[t1]
+        _, flip_edge, corner = tri.fold_data()
+        signs[tri.vertices[corner]] = NOTCHED
 
-    flip_edge = fold_of.get(k, k)
     tris = _flipped_triangles(base, flip_edge)
     # the new diagonal must carry k; the surviving old fold becomes the loop's label
     perm = {flip_edge: k, k: flip_edge} if flip_edge != k else {}
@@ -183,9 +159,6 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
         raise ValueError("max_nodes must be positive")
 
     def moves(T):
-        # a copy per expansion caches the flip data for its flips and is then
-        # dropped, so admitted nodes do not keep it
-        T = TaggedTriangulation(T.base, T.signatures)
         return (tagged_flip(T, k) for k in range(T.num_arcs))
 
     nodes, keys, edges, complete = explore(T0, moves, canonical_key, max_nodes)

@@ -276,15 +276,6 @@ class _Builder:
     def add_triangle(self, verts, edges):
         self.triangles.append((list(verts), list(edges)))
 
-    def boundary_slots(self, component: int | None = None):
-        out = []
-        for t, (_, edges) in enumerate(self.triangles):
-            for i, e in enumerate(edges):
-                if self.edge_kind[e] == "boundary":
-                    if component is None or self.boundary_component[e] == component:
-                        out.append((t, i, e))
-        return out
-
     def subdivide(self, t: int):
         """Insert a puncture inside triangle t (one triangle -> three)."""
         verts, edges = self.triangles[t]
@@ -300,7 +291,8 @@ class _Builder:
 
     def split_boundary(self, component: int):
         """Add one marked point on the given boundary component."""
-        t, i, _seg = self.boundary_slots(component)[0]
+        t, i = next((t, i) for t, (_, edges) in enumerate(self.triangles)
+                    for i, e in enumerate(edges) if self.boundary_component.get(e) == component)
         verts, edges = self.triangles[t]
         u, v, w = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
         f, g = edges[(i + 1) % 3], edges[(i + 2) % 3]
@@ -337,151 +329,100 @@ class _Builder:
         return IdealTriangulation(surface, tris, n, len(bnd_order), flags)
 
 
-def _fan_polygon(bld: _Builder, c: int, component: int = 0):
-    """Unpunctured c-gon fan (c >= 3): returns the list of corner vertices."""
-    vs = [bld.new_vertex(False) for _ in range(c)]
-    sides = [bld.new_edge("boundary", component) for _ in range(c)]
-    diag = {}
-    for i in range(2, c - 1):
-        diag[i] = bld.new_edge("arc")
-    for i in range(1, c - 1):
-        e0 = sides[0] if i == 1 else diag[i]
-        e2 = sides[c - 1] if i == c - 2 else diag[i + 1]
-        bld.add_triangle([vs[0], vs[i], vs[i + 1]], [e0, sides[i], e2])
-    return vs
-
-
-def _wheel(bld: _Builder, c: int, component: int = 0):
+def _wheel(bld: _Builder, c: int):
     """Once-punctured c-gon: all boundary vertices joined to the puncture."""
     vs = [bld.new_vertex(False) for _ in range(c)]
     center = bld.new_vertex(True)
-    sides = [bld.new_edge("boundary", component) for _ in range(c)]
+    sides = [bld.new_edge("boundary", 0) for _ in range(c)]
     radii = [bld.new_edge("arc") for _ in range(c)]
     for i in range(c):
         j = (i + 1) % c
         bld.add_triangle([vs[i], vs[j], center], [sides[i], radii[j], radii[i]])
 
 
-def _glued_polygon(bld: _Builder, g: int, b: int):
-    """Fan-triangulated disk with side identifications.
+def _glued_polygon(bld: _Builder, word: list[tuple[str, object]]):
+    """Fan-triangulated polygon with side identifications.
 
-    Boundary word: g handle quadruples a b a' b', then for each extra
-    boundary component a tether pair t f t', then one free side for
-    component 0. Free sides become boundary segments with one marked point
-    per component; glued pairs become arcs.
+    Side i of the boundary word runs from corner i to corner i+1. A side
+    ("free", comp) becomes a boundary segment of component comp; the two
+    sides ("glue", name) of one name become one arc, the second a reversed
+    copy of the first. A corner class that touches no free side becomes a
+    puncture.
     """
-    word: list[tuple[str, object]] = []
-    for h in range(g):
-        word += [("glue", ("a", h, 0)), ("glue", ("b", h, 0)),
-                 ("glue", ("a", h, 1)), ("glue", ("b", h, 1))]
-    for comp in range(1, b):
-        word += [("glue", ("t", comp, 0)), ("free", comp), ("glue", ("t", comp, 1))]
-    if b >= 1:
-        word += [("free", 0)]
     K = len(word)
     if K < 3:
         raise InvalidTriangulation("polygon template needs at least 3 sides")
-
-    # template corners identified by the glued sides
     corners = UnionFind()
-    first: dict[tuple, int] = {}
-    for i, (kind, datum) in enumerate(word):
-        if kind == "glue":
-            name = datum[:2]
-            if name in first:
-                j = first[name]
-                # side j runs P_j -> P_{j+1}; side i is the reversed copy
-                corners.union(j, (i + 1) % K)
-                corners.union((j + 1) % K, i)
-            else:
-                first[name] = i
-
-    corner_vertex = {}
-    for i in range(K):
-        root = corners.find(i)
-        if root not in corner_vertex:
-            corner_vertex[root] = bld.new_vertex(False)
-    vs = [corner_vertex[corners.find(i)] for i in range(K)]
-
-    side_edge: dict[int, int] = {}
-    first.clear()
+    side_edge: list[int] = []
+    first: dict[object, int] = {}
     for i, (kind, datum) in enumerate(word):
         if kind == "free":
-            side_edge[i] = bld.new_edge("boundary", datum)
+            side_edge.append(bld.new_edge("boundary", datum))
+        elif datum in first:
+            j = first[datum]
+            # side j runs P_j -> P_{j+1}; side i is the reversed copy
+            corners.union(j, (i + 1) % K)
+            corners.union((j + 1) % K, i)
+            side_edge.append(side_edge[j])
         else:
-            name = datum[:2]
-            if name in first:
-                side_edge[i] = side_edge[first[name]]
-            else:
-                first[name] = i
-                side_edge[i] = bld.new_edge("arc")
+            first[datum] = i
+            side_edge.append(bld.new_edge("arc"))
 
-    diag = {i: bld.new_edge("arc") for i in range(2, K - 1)}
+    roots = [corners.find(i) for i in range(K)]
+    on_boundary = {roots[c] for i, (kind, _) in enumerate(word) if kind == "free"
+                   for c in (i, (i + 1) % K)}
+    vertex = {r: bld.new_vertex(puncture=r not in on_boundary) for r in dict.fromkeys(roots)}
+    vs = [vertex[r] for r in roots]
+
+    # spoke[j] joins corner 0 to corner j + 1: the first side, the fan's
+    # diagonals, then the last side
+    spoke = [side_edge[0]] + [bld.new_edge("arc") for _ in range(2, K - 1)] + [side_edge[K - 1]]
     for i in range(1, K - 1):
-        e0 = side_edge[0] if i == 1 else diag[i]
-        e2 = side_edge[K - 1] if i == K - 2 else diag[i + 1]
-        bld.add_triangle([vs[0], vs[i], vs[i + 1]], [e0, side_edge[i], e2])
+        bld.add_triangle([vs[0], vs[i], vs[i + 1]], [spoke[i - 1], side_edge[i], spoke[i]])
 
 
 def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
     """A deterministic triangulation of s without self-folded triangles.
 
-    Template: a fan-triangulated disk whose boundary word encodes handles
-    and extra boundary components, a wheel for once-punctured polygons, and
-    the boundary of a tetrahedron for spheres; remaining punctures enter by
-    triangle subdivision and extra marked points by boundary splits.
+    Template: a wheel for once-punctured polygons, the boundary of a
+    tetrahedron for spheres, and otherwise a fan-triangulated polygon whose
+    boundary word is c free sides (unpunctured c-gons) or encodes handles
+    and boundary components, each with one marked point; remaining
+    punctures enter by triangle subdivision and extra marked points by
+    boundary splits.
     """
     bld = _Builder()
-    g, b, p = s.genus, s.num_boundary, s.punctures
-    cs = s.boundary
-    extra_punctures = p
+    g, b, cs = s.genus, s.num_boundary, s.boundary
 
-    if b == 0:
-        if g == 0:
-            # boundary of a tetrahedron: a 4-punctured sphere
-            vs = [bld.new_vertex(True) for _ in range(4)]
-            eid = {}
-            for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-                eid[pair] = bld.new_edge("arc")
+    if b == 0 and g == 0:
+        # boundary of a tetrahedron: a 4-punctured sphere
+        vs = [bld.new_vertex(True) for _ in range(4)]
+        eid = {}
+        for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+            eid[pair] = bld.new_edge("arc")
 
-            def E(x, y):
-                return eid[(min(x, y), max(x, y))]
+        def E(x, y):
+            return eid[(min(x, y), max(x, y))]
 
-            for (x, y, z) in [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]:
-                bld.add_triangle([vs[x], vs[y], vs[z]], [E(x, y), E(y, z), E(z, x)])
-            extra_punctures = p - 4
-        else:
-            # 4g-gon with all corners identified to one puncture
-            K = 4 * g
-            v = bld.new_vertex(True)
-            side_edge = {}
-            for h in range(g):
-                ea = bld.new_edge("arc")
-                eb = bld.new_edge("arc")
-                side_edge[4 * h] = ea
-                side_edge[4 * h + 1] = eb
-                side_edge[4 * h + 2] = ea
-                side_edge[4 * h + 3] = eb
-            diag = {i: bld.new_edge("arc") for i in range(2, K - 1)}
-            for i in range(1, K - 1):
-                e0 = side_edge[0] if i == 1 else diag[i]
-                e2 = side_edge[K - 1] if i == K - 2 else diag[i + 1]
-                bld.add_triangle([v, v, v], [e0, side_edge[i], e2])
-            extra_punctures = p - 1
+        for (x, y, z) in [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]:
+            bld.add_triangle([vs[x], vs[y], vs[z]], [E(x, y), E(y, z), E(z, x)])
+    elif g == 0 and b == 1 and s.punctures:
+        _wheel(bld, cs[0])
     elif g == 0 and b == 1:
-        if p == 0:
-            _fan_polygon(bld, cs[0])
-        else:
-            _wheel(bld, cs[0])
-            extra_punctures = p - 1
+        _glued_polygon(bld, [("free", 0)] * cs[0])
     else:
-        _glued_polygon(bld, g, b)
+        # a b a' b' per handle, a tether t f t' per extra boundary component,
+        # then one free side for component 0
+        word = [("glue", (x, h)) for h in range(g) for x in "abab"]
+        for comp in range(1, b):
+            word += [("glue", ("t", comp)), ("free", comp), ("glue", ("t", comp))]
+        _glued_polygon(bld, word + [("free", 0)] * min(b, 1))
         # component j currently has one marked point; add the rest
         for comp, cj in enumerate(cs):
             for _ in range(cj - 1):
                 bld.split_boundary(comp)
 
-    for _ in range(extra_punctures):
+    for _ in range(s.punctures - sum(bld.vertex_puncture.values())):
         target = None
         for t, (_, edges) in enumerate(bld.triangles):
             if len(set(edges)) < 3:  # clear self-folded intermediates first

@@ -145,11 +145,15 @@ def test_tagged_bfs_json_and_dot():
     assert dot.startswith("graph")
 
 
-def test_mutation_class_cmd():
+def test_mutation_class_cmd(capsys):
     code, data = run(["mutation-class", "--matrix", '{"n":2,"rows":[[0,1],[-1,0]]}',
                       "--max-size", "50"])
     assert code == 0
     assert data["size"] == 1 and data["complete"] is True
+    path = {"n": 65, "edges": [[i, i + 1, 1] for i in range(64)]}
+    code, out = run(["mutation-class", "--matrix", json.dumps(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "invalid input: n=65 exceeds canonical-form bound 64\n"
 
 
 def test_recognize_type_cmd():
@@ -201,6 +205,9 @@ def test_block_assemble_cmd():
     code, data = run(["block-assemble", json.dumps(long)])
     assert code == 1
     assert data == {"error": "invalid-decomposition", "detail": "block II needs 3 vertices, got 4"}
+    code, data = run(["block-assemble", '{"n":1,"blocks":[],"bare":[0,0]}'])
+    assert code == 1
+    assert data == {"error": "invalid-decomposition", "detail": "bare vertices must be distinct"}
 
 
 def test_denominators_cmd():

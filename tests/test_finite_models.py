@@ -159,6 +159,24 @@ def test_flag_property_matches_tagged_graph():
         assert nx.is_isomorphic(G1, G2)
 
 
+@pytest.mark.parametrize("model, desc, num_nodes, num_edges", [
+    (PP4, (0, [4], 1), 50, 100),
+    (fm.Model("punctured", 5), (0, [5], 1), 182, 455),
+    (fm.Model("polygon", 7), (0, [7], 0), 42, 84),
+    (fm.Model("polygon", 8), (0, [8], 0), 132, 330),
+])
+def test_tagged_graph_counts_match_model(model, desc, num_nodes, num_edges):
+    # the exchange graph is the dual graph of the tagged arc complex; the
+    # punctured cases flip through signature-0 punctures
+    from surfcluster import surface as sf, tagged as tg, trimap as tm
+
+    clusters, edges = fm.enumerate_clusters(model)
+    assert (len(clusters), len(edges)) == (num_nodes, num_edges)
+    s = sf.validate_surface(*desc)
+    flips = tg.exchange_graph_bfs(tg.tag_with(tm.initial_triangulation(s)), max_nodes=1000)
+    assert (len(flips.nodes), len(flips.edges), flips.truncated) == (num_nodes, num_edges, False)
+
+
 def test_root_cluster_is_a_cluster():
     for model in [P5, P6, PP3, PP4]:
         clusters, _ = fm.enumerate_clusters(model)
