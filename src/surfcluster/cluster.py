@@ -13,15 +13,20 @@ one addition, integer order on keys is lex order on exponent vectors, and
 one AND with the guard mask shows whether an exponent left its field
 (divisibility tests by guard and borrow masks as in Monagan & Pearce,
 *Sparse polynomial division using a heap*, J. Symbolic Comput. 46 (2011)).
-A seed census skips the move back to each seed's parent, since
-mu_k mu_k is the identity.
+A seed census interns its variables: each distinct polynomial gets a small
+int id, and a census seed is a tuple of ids, deduplicated by its sorted
+ids. Within one call it divides once per exchange: the quotient depends only
+on x_k and the multiset of pairs (x_i, b_ik), b_ik != 0, so it is memoized
+under those ids. A seed's matrix is made from its parent's when the seed is
+expanded, so refused successors never mutate a matrix. The census skips the
+move back to each seed's parent, since mu_k mu_k is the identity.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._explore import explore
 from .mutation import ExchangeMatrix, mutate
@@ -330,8 +335,6 @@ class Seed:
 
     cluster: tuple[LaurentPoly, ...]
     matrix: ExchangeMatrix
-    # the index of the mutation that made this seed; not part of its identity
-    mutated_at: int | None = field(default=None, compare=False)
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
@@ -342,21 +345,25 @@ class Seed:
         return tuple(sorted(p._packed_key() for p in self.cluster))
 
 
-def mutate_seed(s: Seed, k: int) -> Seed:
-    """Exchange relation with trivial coefficients, via exact division."""
-    B = s.matrix
-    n = B.n
-    if not 0 <= k < n:
-        raise IndexError(f"seed mutation index {k} out of range")
+def _exchanged(cluster, rows, k: int) -> LaurentPoly:
+    """The new x_k: the exchange relation at k divided exactly by x_k."""
     factors = ([], [])  # x_i^b_ik over b_ik > 0, then over b_ik < 0
-    for x, row in zip(s.cluster, B.rows):
+    for x, row in zip(cluster, rows):
         b = row[k]
         if b:
             factors[b < 0].append(x ** abs(b))
-    one = LaurentPoly.constant(s.cluster[0].nvars, 1)
+    one = LaurentPoly.constant(cluster[0].nvars, 1)
     plus, minus = (functools.reduce(operator.mul, f) if f else one for f in factors)
-    new_var = (plus + minus).div_exact(s.cluster[k])
-    return Seed(s.cluster[:k] + (new_var,) + s.cluster[k + 1:], mutate(B, k), k)
+    return (plus + minus).div_exact(cluster[k])
+
+
+def mutate_seed(s: Seed, k: int) -> Seed:
+    """Exchange relation with trivial coefficients, via exact division."""
+    B = s.matrix
+    if not 0 <= k < B.n:
+        raise IndexError(f"seed mutation index {k} out of range")
+    new_var = _exchanged(s.cluster, B.rows, k)
+    return Seed(s.cluster[:k] + (new_var,) + s.cluster[k + 1:], mutate(B, k))
 
 
 def denominator_vector(z: LaurentPoly) -> tuple[int, ...]:
@@ -400,14 +407,39 @@ def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensu
     """BFS over seeds from the initial one, deduplicated by cluster multiset.
 
     At most `limit` seeds are visited; truncation follows `_explore.explore`.
-    A seed is not mutated back at the index it was made by: that move only
-    returns to its parent, which is already admitted.
+    A node is (variable ids, matrix, made_at): the initial seed holds B and
+    made_at None, any other seed holds its parent's matrix until it is
+    expanded. A seed is not mutated back at made_at: that move only returns
+    to its parent, which is already admitted. Quotients are memoized by
+    exchange only within this call; a division that fails is never memoized,
+    so it fails at the same move as with `mutate_seed`.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
+    n = B.n
+    variables = [LaurentPoly.variable(n, i) for i in range(n)]  # id -> variable
+    ids = {x._packed_key(): i for i, x in enumerate(variables)}
+    quotients = {}  # (id of x_k, sorted (id_i, b_ik) over b_ik != 0) -> id
+
+    def moves(node):
+        cluster, matrix, made_at = node
+        if made_at is not None:
+            matrix = mutate(matrix, made_at)
+        rows = matrix.rows
+        for k in range(n):
+            if k == made_at:
+                continue
+            key = (cluster[k], tuple(sorted((x, row[k]) for x, row in zip(cluster, rows) if row[k])))
+            new = quotients.get(key)
+            if new is None:
+                p = _exchanged([variables[x] for x in cluster], rows, k)
+                new = quotients[key] = ids.setdefault(p._packed_key(), len(variables))
+                if new == len(variables):
+                    variables.append(p)
+            yield cluster[:k] + (new,) + cluster[k + 1:], matrix, k
+
     seeds, _, _, complete = explore(
-        Seed.initial(B), lambda s: (mutate_seed(s, k) for k in range(B.n) if k != s.mutated_at),
-        Seed.dedup_key, limit)
-    variables = {p for s in seeds for p in s.cluster}
-    ordered = tuple(sorted(variables, key=LaurentPoly._packed_key))
+        (tuple(range(n)), B, None), moves, lambda node: tuple(sorted(node[0])), limit)
+    admitted = {x for cluster, _, _ in seeds for x in cluster}
+    ordered = tuple(sorted((variables[x] for x in admitted), key=LaurentPoly._packed_key))
     return VariableCensus(ordered, len(seeds), complete)

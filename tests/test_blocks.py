@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -20,6 +21,24 @@ ORACLE_BLOCKS = {
 }
 
 
+# the non-identity automorphisms of each block: permutations sigma of its
+# local vertices (i goes to sigma[i]) that keep its edges and its outlets. A
+# vertex tuple and its image verts[sigma[.]] place the same arrows with the
+# same roles, so the oracle tries only the least tuple of each orbit.
+ORACLE_AUTOMORPHISMS = {
+    "I": [],
+    "II": [(1, 2, 0), (2, 0, 1)],
+    "IIIa": [(1, 0, 2)],
+    "IIIb": [(1, 0, 2)],
+    "IV": [(0, 1, 3, 2)],
+    "V": [(0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3)],
+}
+
+# the arrow counts (u -> v, v -> u) that a pair with entry b_uv may end
+# with; none has more than two arrows
+ORACLE_FINALS = {2: [(2, 0)], 1: [(1, 0)], 0: [(0, 0), (1, 1)], -1: [(0, 1)], -2: [(0, 2)]}
+
+
 def oracle_decomposable(B: mu.ExchangeMatrix) -> bool:
     n = B.n
     if not B.entries_bounded_by(2):
@@ -30,26 +49,17 @@ def oracle_decomposable(B: mu.ExchangeMatrix) -> bool:
         for v in range(n):
             if u != v:
                 target[(u, v)] = B[u, v]
+    # the partial gluing, changed in place: arrow counts, the outlet flag of
+    # each role a vertex plays, and the placed blocks in order
+    arrows = dict.fromkeys(target, 0)
+    usage = {}
+    placed = []
 
-    def pair_ok(arrows, final=False):
-        for u in range(n):
-            for v in range(u + 1, n):
-                f = arrows.get((u, v), 0)
-                g = arrows.get((v, u), 0)
-                if f + g > 2:
-                    return False
-                t = target[(u, v)]
-                if final:
-                    if f - g != t:
-                        return False
-                else:
-                    finals = {2: [(2, 0)], 1: [(1, 0)], 0: [(0, 0), (1, 1)],
-                              -1: [(0, 1)], -2: [(0, 2)]}[t]
-                    if not any(f <= ff and g <= gg for ff, gg in finals):
-                        return False
-        return True
+    def pair_ok(u, v):
+        f, g = arrows[(u, v)], arrows[(v, u)]
+        return any(f <= ff and g <= gg for ff, gg in ORACLE_FINALS[target[(u, v)]])
 
-    def connected(blocks_used, bare):
+    def connected(blocks_used):
         parent = list(range(n))
 
         def find(x):
@@ -63,57 +73,69 @@ def oracle_decomposable(B: mu.ExchangeMatrix) -> bool:
                 parent[find(verts[0])] = find(w)
         return len({find(v) for v in range(n)}) == 1
 
-    best = [False]
+    # per block: the orbit-least vertex tuples in lex order, each with the
+    # pairs its edges fill and whether each local vertex is an outlet
+    candidates = {
+        kind: [(verts, [(verts[a], verts[b]) for a, b in edges],
+                [local in outlets for local in range(size)])
+               for verts in itertools.permutations(range(n), size)
+               if all(tuple(verts[i] for i in sigma) > verts for sigma in ORACLE_AUTOMORPHISMS[kind])]
+        for kind, (size, outlets, edges) in ORACLE_BLOCKS.items()
+    }
 
-    def rec(arrows, usage, blocks_used):
-        if best[0]:
-            return
-        if pair_ok(arrows, final=True):
-            covered = set(usage)
-            free = [v for v in range(n) if v not in covered]
+    def rec():
+        if all(arrows[(u, v)] - arrows[(v, u)] == target[(u, v)]
+               for u in range(n) for v in range(u + 1, n)):
+            free = [v for v in range(n) if v not in usage]
             if all(target[(v, w)] == 0 for v in free for w in range(n) if w != v):
                 joins = []
                 rest = list(free)
                 while len(rest) >= 2:
                     a, b = rest.pop(0), rest.pop(0)
                     joins.append((a, b))
-                if connected([vv for _, vv in blocks_used]
-                             + [(a, b) for a, b in joins], rest):
-                    best[0] = True
-                    return
-        if len(blocks_used) >= n:
-            return
+                if connected([vv for _, vv in placed] + joins):
+                    return True
+        if len(placed) >= n:
+            return False
         # place one more block in every legal way (lexicographically bounded
-        # by the previous block to kill permutations of the multiset)
-        prev = blocks_used[-1][:1] if blocks_used else None
-        for kind, (size, outlets, edges) in ORACLE_BLOCKS.items():
-            for verts in itertools.permutations(range(n), size):
-                if blocks_used and (kind, verts) < blocks_used[-1]:
+        # by the previous block to kill permutations of the multiset); only
+        # the pairs the new block touches can stop being completable
+        for kind, tuples in candidates.items():
+            start = 0
+            if placed:
+                if kind < placed[-1][0]:
                     continue
+                if kind == placed[-1][0]:
+                    start = bisect.bisect_left(tuples, (placed[-1][1],))
+            for verts, pairs, is_outlet in itertools.islice(tuples, start, None):
                 ok = True
                 for local, v in enumerate(verts):
                     roles = usage.get(v, [])
-                    if len(roles) >= 2 or (roles and not (all(roles) and local in outlets)):
+                    if len(roles) >= 2 or (roles and not (all(roles) and is_outlet[local])):
                         ok = False
                         break
                 if not ok:
                     continue
-                arr2 = dict(arrows)
-                for a, b in edges:
-                    key = (verts[a], verts[b])
-                    arr2[key] = arr2.get(key, 0) + 1
-                if not pair_ok(arr2):
-                    continue
-                usage2 = {v: list(r) for v, r in usage.items()}
-                for local, v in enumerate(verts):
-                    usage2.setdefault(v, []).append(local in outlets)
-                rec(arr2, usage2, blocks_used + [(kind, verts)])
-                if best[0]:
-                    return
-        del prev
+                for key in pairs:
+                    arrows[key] += 1
+                found = False
+                if all(pair_ok(u, v) for u, v in pairs):
+                    for v, outlet in zip(verts, is_outlet):
+                        usage.setdefault(v, []).append(outlet)
+                    placed.append((kind, verts))
+                    found = rec()
+                    placed.pop()
+                    for v in verts:
+                        usage[v].pop()
+                        if not usage[v]:
+                            del usage[v]
+                for key in pairs:
+                    arrows[key] -= 1
+                if found:
+                    return True
+        return False
 
-    rec({}, {}, [])
-    return best[0]
+    return rec()
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +146,15 @@ def test_block_catalog_matches_module():
         msize, moutlets, medges = bl.BLOCK_SPECS[kind]
         assert msize == size and set(moutlets) == outlets
         assert sorted(medges) == sorted(edges)
+
+
+def test_oracle_automorphisms_are_the_block_symmetries():
+    for kind, (size, outlets, edges) in ORACLE_BLOCKS.items():
+        symmetries = [sigma for sigma in itertools.permutations(range(size))
+                      if {(sigma[a], sigma[b]) for a, b in edges} == set(edges)
+                      and {sigma[o] for o in outlets} == outlets]
+        identity = tuple(range(size))
+        assert sorted(ORACLE_AUTOMORPHISMS[kind]) == [sigma for sigma in symmetries if sigma != identity]
 
 
 def test_assemble_and_validate():

@@ -178,18 +178,54 @@ def test_capped_census_is_a_subset(e6_census):
             assert set(census.variables) <= set(full.variables)
 
 
-@pytest.mark.parametrize("B", [mu.make_quiver("A", 3), mu.make_quiver("D", 4),
-                               mu.make_quiver("E", 6)])
+def relabeled(B, seed):
+    perm = list(range(B.n))
+    random.Random(seed).shuffle(perm)
+    return mu.ExchangeMatrix.from_rows([[B.rows[i][j] for j in perm] for i in perm])
+
+
+# two infinite-type matrices, so every cap truncates
+KRONECKER = mu.ExchangeMatrix.from_rows([[0, 2], [-2, 0]])
+DOUBLED_PATH = mu.ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 2], [0, -2, 0]])
+
+
+@pytest.mark.parametrize("B", [
+    mu.make_quiver("A", 3), mu.make_quiver("D", 4), mu.make_quiver("E", 6),
+    relabeled(mu.make_quiver("D", 6), 6), relabeled(mu.make_quiver("A", 7), 7),
+    KRONECKER, DOUBLED_PATH,
+])
 def test_census_without_the_parent_move_keeps_the_search(B):
-    # skipping the move back to the parent changes no admitted seed or its order
+    # interning, the exchange memo, the lazy matrix and skipping the move back
+    # to the parent change no admitted seed, its order, or the variables
     def every_move(s):
         return (cl.mutate_seed(s, k) for k in range(B.n))
 
-    for cap in (3, 10, 40, 200):
+    for cap in {KRONECKER: (5, 12, 20), DOUBLED_PATH: (5, 10, 16)}.get(B, (3, 10, 40, 200, 2000)):
         seeds, _, _, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
         census = cl.all_cluster_variables(B, cap)
         assert (census.seeds_seen, census.complete) == (len(seeds), complete)
-        assert set(census.variables) == {p for s in seeds for p in s.cluster}
+        expected = sorted({p for s in seeds for p in s.cluster}, key=cl.LaurentPoly._packed_key)
+        assert census.variables == tuple(expected)
+
+
+@pytest.mark.parametrize("B,divisions,seeds", [
+    (mu.make_quiver("D", 6), 460, 672),
+    (mu.make_quiver("A", 7), 371, 1430),
+])
+def test_census_divides_once_per_exchange(monkeypatch, B, divisions, seeds):
+    calls = []
+    div = cl.LaurentPoly.div_exact
+    monkeypatch.setattr(cl.LaurentPoly, "div_exact", lambda p, q: calls.append(1) or div(p, q))
+    census = cl.all_cluster_variables(B, 2000)
+    assert census.complete and census.seeds_seen == seeds
+    assert len(calls) == divisions < seeds
+
+
+def test_e7_census():
+    census = cl.all_cluster_variables(mu.make_quiver("E", 7), 5000)
+    assert census.complete and census.seeds_seen == 4160
+    assert len(census.variables) == 70
+    assert len({cl.denominator_vector(v) for v in census.variables}) == 70
 
 
 @pytest.mark.parametrize("B", [mu.make_quiver("A", 3), mu.make_quiver("D", 4),
@@ -201,10 +237,9 @@ def test_mutate_seed_is_an_involution(B):
     for _ in range(15):
         k = rng.randrange(B.n)
         child = cl.mutate_seed(seed, k)
-        assert child.mutated_at == k
         back = cl.mutate_seed(child, k)
         assert back.cluster == seed.cluster and back.matrix.rows == seed.matrix.rows
-        assert back == cl.Seed(seed.cluster, seed.matrix)  # mutated_at is not compared
+        assert back == seed
         seed = child
 
 
