@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._explore import UnionFind
-from .mutation import ExchangeMatrix, _is_int_list
+from .mutation import ExchangeMatrix, _is_int_list, _require_fields
 from .surface import MarkedSurface, validate_surface
 from .trimap import IdealTriangulation, Triangle
 
@@ -58,7 +58,12 @@ class BlockDecomposition:
     def from_json(data: dict) -> "BlockDecomposition":
         """Read outside JSON: an integer n >= 0, blocks {kind, vertices} of a
         known kind, and integer vertex ids."""
+        shape = '{"n": integer, "blocks": [{"kind": kind, "vertices": [integers]}, ...], "bare": [integers]}'
+        _require_fields(data, ("n", "blocks"), shape)
         n, raw, bare = data["n"], data["blocks"], data.get("bare", [])
+        for b in raw if type(raw) is list else ():
+            if type(b) is dict:
+                _require_fields(b, ("kind", "vertices"), shape)
         if not (type(n) is int and n >= 0 and type(raw) is list and _is_int_list(bare)
                 and all(type(b) is dict and b["kind"] in _KIND_ORDER
                         and _is_int_list(b["vertices"]) for b in raw)):
@@ -150,10 +155,12 @@ def _plan(kind: str, a: int, b: int):
 
     The free locals come in a fixed order, most constrained first: the one
     with the most block edges into the locals already placed, ties to the
-    lowest index. Each step is (local, outlet flag, the block edges it closes
-    as (other local, whether the edge leaves the new local), its placed twin
-    or -1, and whether the new vertex must exceed that twin's)."""
+    lowest index. Each step is (local, outlet flag, the local's block
+    (out-degree, in-degree), the block edges it closes as (other local,
+    whether the edge leaves the new local), its placed twin or -1, and
+    whether the new vertex must exceed that twin's)."""
     size, outlets, edges = BLOCK_SPECS[kind]
+    deg = [(sum(p == w for p, _ in edges), sum(q == w for _, q in edges)) for w in range(size)]
     placed = [a, b]
     steps = []
     while len(placed) < size:
@@ -167,9 +174,9 @@ def _plan(kind: str, a: int, b: int):
         for i, j in _TWINS.get(kind, ()):
             if w in (i, j) and (i + j - w) in placed:
                 twin, above = i + j - w, w == j
-        steps.append((w, w in outlets, closes, twin, above))
+        steps.append((w, w in outlets, deg[w], closes, twin, above))
         placed.append(w)
-    return kind, size, a, b, a in outlets, b in outlets, tuple(steps)
+    return kind, size, a, b, a in outlets, b in outlets, deg[a], deg[b], tuple(steps)
 
 
 # one plan per (block kind, start edge)
@@ -200,6 +207,16 @@ class _Search:
     exhaustion can only become rarer. A placement carries u -> v through
     exactly one block edge, so none is produced twice.
 
+    Each vertex is also checked against its remaining demand before it joins
+    a candidate (`fits`, on u and v before a plan starts and on every vertex
+    `_complete` enumerates). A block edge at x moves dout[x] or din[x] by
+    exactly one, so a vertex that fails `fits` leaves, once placed, a
+    nonempty `positive` and a child call that returns None at
+    `_degree_feasible`, before it reads or writes the failure memo. Dropping
+    such candidates leaves the try order, the memo and every witness
+    unchanged and only lowers the call count. `fits` is necessary, not
+    sufficient, so `_search` still runs `_degree_feasible`.
+
     `_add` keeps the demands incrementally: the set `positive` of pairs with
     a positive residual, and per vertex the sum of its positive residuals
     going out (`dout`) and coming in (`din`).
@@ -223,6 +240,17 @@ class _Search:
     def can_use(self, v, as_outlet):
         roles = self.usage[v]
         return not roles or (len(roles) == 1 and roles[0] and as_outlet)
+
+    def fits(self, x, outlet, deg):
+        """Whether x, taking a block role of outlet flag `outlet` and block
+        degree deg = (out, in), can still pass `_degree_feasible`. A role
+        that leaves x no free role must clear its demand, so its edges must
+        match dout[x] and din[x] exactly; a fresh outlet keeps one role of at
+        most two arrows each way."""
+        deg_out, deg_in = deg
+        if outlet and not self.usage[x]:
+            return self.dout[x] <= deg_out + 2 and self.din[x] <= deg_in + 2
+        return self.dout[x] == deg_out and self.din[x] == deg_in
 
     def _add(self, pl: BlockPlacement, sign: int):
         res, load, dout, din, positive = self.res, self.load, self.dout, self.din, self.positive
@@ -267,9 +295,10 @@ class _Search:
 
     def placements_covering(self, u, v):
         """Sort keys (gain, kind, vertices) of the single-block placements
-        that put an arrow u -> v and leave every pair finishable, one per
-        twin orbit, in the order the search tries them. gain is minus the
-        number of the block's arrows that land on a positive residual."""
+        that put an arrow u -> v, leave every pair finishable and whose
+        vertices all pass `fits`, one per twin orbit, in the order the search
+        tries them. gain is minus the number of the block's arrows that land
+        on a positive residual."""
         res, load = self.res, self.load
         # a block puts at most one arrow on a pair of its vertices, and one
         # more arrow p -> q leaves the pair finishable when |res - 1| + load
@@ -280,8 +309,10 @@ class _Search:
                            for as_outlet in (False, True))
         gain = -1 if res[u][v] > 0 else 0
         out: list = []
-        for kind, size, a, b, a_outlet, b_outlet, steps in _PLANS:
-            if self.can_use(u, a_outlet) and self.can_use(v, b_outlet):
+        fits = self.fits
+        for kind, size, a, b, a_outlet, b_outlet, a_deg, b_deg, steps in _PLANS:
+            if (self.can_use(u, a_outlet) and self.can_use(v, b_outlet)
+                    and fits(u, a_outlet, a_deg) and fits(v, b_outlet, b_deg)):
                 assign = [-1] * size
                 assign[a], assign[b] = u, v
                 if steps:
@@ -292,9 +323,9 @@ class _Search:
         return out
 
     def _complete(self, kind, steps, i, assign, gain, candidates, out):
-        w, outlet, closes, twin, above = steps[i]
+        w, outlet, deg, closes, twin, above = steps[i]
         last = i + 1 == len(steps)
-        res, load = self.res, self.load
+        res, load, fits = self.res, self.load, self.fits
         low, high = -1, self.n
         if twin >= 0:
             if above:
@@ -306,6 +337,8 @@ class _Search:
                 continue
             if x >= high:
                 break
+            if not fits(x, outlet, deg):
+                continue
             g = gain
             for o, outgoing in closes:
                 p, q = (x, assign[o]) if outgoing else (assign[o], x)

@@ -78,6 +78,7 @@ class ExchangeMatrix:
     @staticmethod
     def from_json(data: dict) -> "ExchangeMatrix":
         """Read outside JSON: rows of integers, and n (if given) an integer."""
+        _require_fields(data, ("rows",), '{"rows": [[integers], ...]} with an optional integer "n"')
         rows = data["rows"]
         if type(rows) is not list or not all(_is_int_list(row) for row in rows):
             raise ValueError("rows must be a list of lists of integers")
@@ -123,6 +124,7 @@ def quiver_to_json(B: ExchangeMatrix) -> dict:
 
 def quiver_from_json(data: dict) -> ExchangeMatrix:
     """Read outside JSON: an integer n and integer edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""
+    _require_fields(data, ("n", "edges"), 'a quiver {"n": integer, "edges": [[i, j] or [i, j, w], ...]}')
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0 or type(edges) is not list:
         raise ValueError("a quiver needs an integer n >= 0 and a list of edges")
@@ -133,6 +135,13 @@ def quiver_from_json(data: dict) -> ExchangeMatrix:
         if edge[0] == edge[1]:
             raise ValueError(f"quiver edge must join two distinct vertices, got the loop {edge!r}")
     return from_edges(n, edges)
+
+
+def _require_fields(data: dict, fields, shape: str):
+    """Reject outside JSON that lacks one of `fields`, naming it and `shape`."""
+    for field in fields:
+        if field not in data:
+            raise ValueError(f"missing field {field!r}: expected {shape}")
 
 
 def _is_int_list(values) -> bool:

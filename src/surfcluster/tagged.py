@@ -93,13 +93,15 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
         raise ArcNotPresent(f"{k} is not an arc of this tagged triangulation")
     signs = {v: s or PLAIN for v, s in T.signatures}
     flip_edge = k
-    (t1, _), (t2, _) = base.arc_slots(k)
+    slots = base.arc_slots(k)
+    (t1, _), (t2, _) = slots
     if t1 == t2:  # k is the plain radius of a self-folded triangle
         tri = base.triangles[t1]
         _, flip_edge, corner = tri.fold_data()
         signs[tri.vertices[corner]] = NOTCHED
+        slots = None  # the loop's slots, which _flipped_triangles finds
 
-    tris = _flipped_triangles(base, flip_edge)
+    tris = _flipped_triangles(base, flip_edge, slots)
     # the new diagonal must carry k; the surviving old fold becomes the loop's label
     perm = {flip_edge: k, k: flip_edge} if flip_edge != k else {}
     enclosed = set()

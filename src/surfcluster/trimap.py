@@ -461,11 +461,16 @@ def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
                               T.puncture_flags)
 
 
-def _flipped_triangles(T: IdealTriangulation, k: int) -> list[Triangle]:
-    """The triangle list of `flip(T, k)`, not yet validated as a triangulation."""
-    if not T.is_arc(k):
-        raise UnknownArc(f"{k} is not an arc of this triangulation")
-    (t1, i1), (t2, i2) = T.arc_slots(k)
+def _flipped_triangles(T: IdealTriangulation, k: int, slots=None) -> list[Triangle]:
+    """The triangle list of `flip(T, k)`, not yet validated as a triangulation.
+
+    A caller that already holds `T.arc_slots(k)` for an arc k passes them as
+    `slots`, which saves a scan of the triangle list."""
+    if slots is None:
+        if not T.is_arc(k):
+            raise UnknownArc(f"{k} is not an arc of this triangulation")
+        slots = T.arc_slots(k)
+    (t1, i1), (t2, i2) = slots
     if t1 == t2:
         raise NotFlippable(f"arc {k} is the fold of a self-folded triangle")
     tri1, tri2 = T.triangles[t1], T.triangles[t2]

@@ -115,6 +115,20 @@ def test_malformed_decomposition_exits_2(decomposition, capsys):
     assert capsys.readouterr().err.startswith("invalid input: ")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["is-surface-matrix", '{"n":2}'], "edges"),
+    (["mutation-class", "--matrix", '{"m":1}'], "n"),
+    (["block-assemble", '{"n":3,"blocks":[{"kind":"II"}]}'], "vertices"),
+    (["block-assemble", '{"n":3,"blocks":[{"vertices":[0,1,2]}]}'], "kind"),
+    (["block-assemble", '{"n":3}'], "blocks"),
+], ids=["quiver-edges", "quiver-n", "block-vertices", "block-kind", "blocks"])
+def test_missing_field_exits_2(argv, field, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: missing field {field!r}: expected ") and err.endswith("}\n"), err
+
+
 def test_is_surface_matrix_undecided(monkeypatch):
     decompose = blocks.decompose
     monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))

@@ -27,6 +27,8 @@ def test_matrix_validation():
         mu.ExchangeMatrix.from_rows([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         mu.ExchangeMatrix.from_rows([[1]])
+    with pytest.raises(ValueError, match="missing field 'rows'"):
+        mu.ExchangeMatrix.from_json({"n": 2})
 
 
 def test_mutate_examples():
