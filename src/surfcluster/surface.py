@@ -68,6 +68,8 @@ class MarkedSurface:
     @staticmethod
     def from_json(data: dict) -> "MarkedSurface":
         """Read outside JSON: integer genus and punctures, a list of integer boundary counts."""
+        if type(data) is not dict:
+            raise ValueError("a surface must be a JSON object {genus, boundary, punctures}")
         genus = data.get("genus", 0)
         boundary = data.get("boundary", [])
         punctures = data.get("punctures", 0)

@@ -11,6 +11,7 @@ triangulations have equal representations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import trimap
 from ._explore import explore
@@ -156,12 +157,38 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
     segments pinned; on surfaces with infinitely many arcs this identifies
     triangulations related by mapping classes, which is what makes the
     search finite there. Truncation follows `_explore.explore`.
+
+    Each edge is flipped from one end only. Flipping arc k of node X gives S,
+    and the key numbering matches S arc for arc with R, the first node under
+    its key. The arc of R that has k's number is recorded, and R skips it
+    when expanded. The flip is an involution and commutes with relabeling,
+    so that skipped flip lands on X, already admitted, and would only re-add
+    the edge X-R: nodes, keys, edges and truncation are those of the search
+    that makes every flip. A flip into the node's own key is never skipped.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
+    reps = {}  # key -> arcs of its first node, listed by number
+    back = {}  # key -> arcs of that first node whose flip is already an edge
 
-    def moves(T):
-        return (tagged_flip(T, k) for k in range(T.num_arcs))
+    def node(T):
+        key, number = trimap._numbered_key(T.base, T.signatures)
+        arcs = reps.get(key)
+        if arcs is None:
+            arcs = reps[key] = tuple(sorted(number, key=number.get))
+        return (T, key, arcs), number
 
-    nodes, keys, edges, complete = explore(T0, moves, canonical_key, max_nodes)
-    return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))
+    def moves(item):
+        T, key, _ = item
+        skip = back.pop(key, ())
+        for k in range(T.num_arcs):
+            if k in skip:
+                continue
+            succ, number = node(tagged_flip(T, k))
+            _, key2, arcs2 = succ
+            if key2 != key:
+                back.setdefault(key2, set()).add(arcs2[number[k]])
+            yield succ
+
+    items, keys, edges, complete = explore(node(T0)[0], moves, itemgetter(1), max_nodes)
+    return FlipGraph(tuple(T for T, _, _ in items), tuple(edges), not complete, tuple(keys))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._explore import UnionFind, explore
-from .mutation import ExchangeMatrix, _is_int_list
+from .mutation import ExchangeMatrix, _is_int_list, _require_fields
 from .surface import MarkedSurface
 
 
@@ -231,8 +231,14 @@ class IdealTriangulation:
     @staticmethod
     def from_json(data: dict) -> "IdealTriangulation":
         """Read outside JSON: a non-empty triangle list, integer ids and counts."""
-        surf = MarkedSurface.from_json(data["surface"])
+        shape = ('{"surface": {...}, "triangles": [{"v": [integers], "e": [integers]}, ...], '
+                 '"arcs": integer, "boundary_segments": integer} with an optional "punctures": [integers]')
+        _require_fields(data, ("surface", "triangles", "arcs", "boundary_segments"), shape)
         raw, punctures = data["triangles"], data.get("punctures", [])
+        for t in raw if type(raw) is list else ():
+            if type(t) is dict:
+                _require_fields(t, ("v", "e"), shape)
+        surf = MarkedSurface.from_json(data["surface"])
         counts = [data["arcs"], data["boundary_segments"]]
         if not (type(raw) is list and raw and _is_int_list(counts) and _is_int_list(punctures)
                 and all(type(t) is dict and _is_int_list(t["v"]) and _is_int_list(t["e"]) for t in raw)):
@@ -569,6 +575,14 @@ def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     such a renaming carries each start set onto the other's. So keys agree
     exactly when one triangulation is an arc relabeling of the other.
     """
+    return _numbered_key(T, extra)[0]
+
+
+def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int]]:
+    """(canonical_key(T, extra), number): `number` maps each arc of T to its
+    number in the winning serialization (the first start on ties). Two maps
+    with equal keys are matched, arc for arc, by equal numbers.
+    """
     tris = T.triangles
     n = T.num_arcs
     edges, verts, partner = _slots(tris, n)
@@ -602,8 +616,8 @@ def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
                 out.append(verts[sl])
         cand = tuple(out)
         if best is None or cand < best:
-            best = cand
-    return (best, tuple(extra))
+            best, number = cand, arcnum
+    return (best, tuple(extra)), number
 
 
 def flip_graph_bfs(T0: IdealTriangulation, max_nodes: int = 1000, labeled: bool = True):

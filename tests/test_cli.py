@@ -129,6 +129,27 @@ def test_missing_field_exits_2(argv, field, capsys):
     assert err.startswith(f"invalid input: missing field {field!r}: expected ") and err.endswith("}\n"), err
 
 
+@pytest.mark.parametrize("field", ["surface", "triangles", "arcs", "boundary_segments", "v", "e"])
+def test_triangulation_missing_field_exits_2(field, capsys):
+    code, tri = run(["triangulate", "--surface", '{"genus":0,"boundary":[5],"punctures":0}'])
+    del (tri["triangles"][1] if field in ("v", "e") else tri)[field]
+    for argv in (["flip", "--arc", "1"], ["b-matrix"]):
+        code, out = run(argv + ["--triangulation", json.dumps(tri)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: missing field {field!r}: expected {{\"surface\"") and \
+            err.endswith('optional "punctures": [integers]\n'), err
+
+
+def test_triangulation_surface_not_an_object_exits_2(capsys):
+    code, tri = run(["triangulate", "--surface", '{"genus":0,"boundary":[5],"punctures":0}'])
+    tri["surface"] = 3
+    code, out = run(["b-matrix", "--triangulation", json.dumps(tri)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == \
+        "invalid input: a surface must be a JSON object {genus, boundary, punctures}\n"
+
+
 def test_is_surface_matrix_undecided(monkeypatch):
     decompose = blocks.decompose
     monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from conftest import BATTERY
 from surfcluster import mutation as mu, surface as sf, tagged as tg, trimap as tm
+from surfcluster._explore import explore
 
 
 def start(desc):
@@ -63,8 +65,14 @@ def test_untag_b_matrix_consistent():
 
 
 def test_tagged_flip_involution():
-    for desc in [(0, [2], 1), (0, [3], 1), (0, [1], 2), (1, [], 1)]:
-        G = graph(desc, max_nodes=40)
+    # exact on representations, labels and signatures included: the one-end
+    # rule of exchange_graph_bfs rests on this
+    for desc, cap in [((0, [2], 1), 40), ((0, [3], 1), 40), ((1, [], 1), 40), ((0, [6], 1), 700),
+                      ((0, [], 4), 300), ((0, [], 5), 300), ((1, [], 2), 300), ((0, [1], 2), 300),
+                      ((0, [1, 1], 1), 300), ((1, [1], 1), 300)]:
+        G = graph(desc, max_nodes=cap)
+        signs = {s for T in G.nodes for _, s in T.signatures}
+        assert signs == ({1} if desc == (1, [], 1) else {-1, 0, 1})
         for node in G.nodes:
             for k in range(node.num_arcs):
                 T2 = tg.tagged_flip(node, k)
@@ -182,23 +190,28 @@ def test_key_equality_is_arc_relabeling(desc):
         rng.shuffle(tris)
         return tm.IdealTriangulation(M.surface, tris, M.num_arcs, M.num_boundary, M.puncture_flags)
 
-    def check(nodes, key, form, relabel):
+    def check(nodes, key, parts, form, relabel):
         # the pool holds every node and one random relabeling of it, so both
         # outcomes of the comparison occur
         orbits = [{form(T, p) for p in perms} for T in nodes] * 2
         pool = nodes + [relabel(T, rng.choice(perms)) for T in nodes]
-        keys = [key(T) for T in pool]
+        numbered = [tm._numbered_key(*parts(T)) for T in pool]
+        assert [k for k, _ in numbered] == [key(T) for T in pool]
         identity = range(s.rank)
-        for i in range(len(pool)):
+        for i, T in enumerate(pool):
             for j, U in enumerate(pool):
-                assert (keys[i] == keys[j]) is (form(U, identity) in orbits[i])
+                equal = numbered[i][0] == numbered[j][0]
+                assert equal is (form(U, identity) in orbits[i])
+                if equal:  # the arcs numbered alike match T onto U
+                    arc_of = {m: a for a, m in numbered[j][1].items()}
+                    assert form(T, [arc_of[numbered[i][1][a]] for a in identity]) == form(U, identity)
 
     cap = 10 if s.rank == 6 else 30
     labeled, _, _ = tm.flip_graph_bfs(T0, max_nodes=cap)
-    check(labeled, tm.canonical_key, lambda T, p: relabeled(T, p).normal_form(), shuffled)
+    check(labeled, tm.canonical_key, lambda M: (M,), lambda T, p: relabeled(T, p).normal_form(), shuffled)
 
     tagged = list(tg.exchange_graph_bfs(tg.tag_with(T0), max_nodes=cap).nodes)
-    check(tagged, tg.canonical_key,
+    check(tagged, tg.canonical_key, lambda T: (T.base, T.signatures),
           lambda T, p: (relabeled(T.base, p).normal_form(), T.signatures),
           lambda T, p: tg.TaggedTriangulation(shuffled(T.base, p), T.signatures))
 
@@ -225,3 +238,61 @@ def test_export_reuses_search_keys(monkeypatch):
 
     monkeypatch.setattr(tm, "canonical_key", no_key)
     assert G.to_json()["vertices"] == expected
+
+
+def all_moves_search(T0, cap):
+    """The tagged search without the one-end rule: every flip of every node."""
+    def moves(T):
+        return (tg.tagged_flip(T, k) for k in range(T.num_arcs))
+
+    nodes, keys, edges, complete = explore(T0, moves, tg.canonical_key, cap)
+    return nodes, keys, edges, not complete
+
+
+def walked(desc, seed):
+    # the start moved by a seeded walk of 2 * rank tagged flips
+    T = start(desc)
+    rng = random.Random(seed)
+    for _ in range(2 * T.num_arcs):
+        T = tg.tagged_flip(T, rng.randrange(T.num_arcs))
+    return T
+
+
+def name(desc):
+    return str(desc).replace(" ", "")
+
+
+ORACLE_CASES = (
+    [(start(desc), 60, name(desc)) for desc in BATTERY]
+    + [(start(desc), cap, f"{name(desc)}-full") for desc, cap in [((0, [6], 1), 1000), ((0, [], 5), 600),
+                                                                   ((1, [], 2), 1000)]]
+    + [(walked(desc, 7), cap, f"{name(desc)}-walked") for desc, cap in [((0, [6], 1), 1000), ((0, [], 5), 600),
+                                                                         ((1, [], 2), 1000)]]
+    + [(start((0, [3], 1)), cap, f"(0,[3],1)-cap{cap}") for cap in (1, 5, 13, 14)]
+)
+
+
+@pytest.mark.parametrize("T0, cap", [c[:2] for c in ORACLE_CASES], ids=[c[2] for c in ORACLE_CASES])
+def test_one_end_search_matches_all_moves_search(T0, cap):
+    nodes, keys, edges, truncated = all_moves_search(T0, cap)
+    G = tg.exchange_graph_bfs(T0, max_nodes=cap)
+    assert [(T.base.normal_form(), T.signatures) for T in G.nodes] == \
+        [(T.base.normal_form(), T.signatures) for T in nodes]
+    assert list(G.keys) == keys
+    assert list(G.edges) == edges
+    assert G.truncated is truncated
+
+
+@pytest.mark.parametrize("desc, cap, counts", [
+    ((0, [6], 1), 1000, (672, 2016, 2016)),
+    ((0, [], 5), 600, (600, 1188, 1212)),
+    ((1, [], 2), 1000, (32, 32, 144)),
+    ((0, [3], 1), 1000, (14, 21, 21)),
+])
+def test_one_end_search_flip_counts(desc, cap, counts, monkeypatch):
+    # (nodes, edges, tagged flips): the complete D6 search flips each edge once
+    flips = []
+    flip = tg.tagged_flip
+    monkeypatch.setattr(tg, "tagged_flip", lambda T, k: flips.append(k) or flip(T, k))
+    G = graph(desc, max_nodes=cap)
+    assert (len(G.nodes), len(G.edges), len(flips)) == counts
