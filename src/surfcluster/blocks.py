@@ -14,13 +14,14 @@ square's matrix [0] demands one.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from ._explore import UnionFind
 from .mutation import ExchangeMatrix, _is_int_list, _require_fields
-from .surface import MarkedSurface, validate_surface
-from .trimap import IdealTriangulation, Triangle
+from .surface import MarkedSurface
+from .trimap import IdealTriangulation, _from_sides
 
 # block-local structure: vertex count, outlet set, directed edges
 BLOCK_SPECS: dict[str, tuple[int, frozenset, tuple[tuple[int, int], ...]]] = {
@@ -449,61 +450,29 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
 # surface reconstruction
 
 
-class _Assembler:
-    """Triangles on final edge ids: arc i is edge i, and boundary segments get
-    ids n, n + 1, ... as they are created. Corners glued along an arc are
-    joined in `corners`."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.triangles: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self.corners = UnionFind()
-        self.num_vertices = 0
-        self.num_edges = n
-        self.arc_slots: dict[int, list[tuple[int, int]]] = {}  # arc -> (start, end) per slot
-
-    def new_vertices(self, k: int):
-        self.num_vertices += k
-        return range(self.num_vertices - k, self.num_vertices)
-
-    def boundary_edge(self):
-        self.num_edges += 1
-        return self.num_edges - 1
-
-    def add_triangle(self, verts, edges):
-        self.triangles.append((tuple(verts), tuple(edges)))
-        for i, e in enumerate(edges):
-            if e < self.n:
-                self.arc_slots.setdefault(e, []).append((verts[i], verts[(i + 1) % 3]))
-
-
-def _instantiate_piece(asm: _Assembler, pl: BlockPlacement):
+def _instantiate_piece(pl: BlockPlacement, bnd) -> list[tuple[int, int, int]]:
+    """The side lists of a block's triangulated piece; `bnd` yields fresh
+    boundary segment ids."""
     g = pl.vertices
-    u, w, z = asm.new_vertices(3)
     if pl.kind == "I":
         # ccw sides (e1, e0, boundary) so the quiver arrow runs 0 -> 1
-        asm.add_triangle([u, w, z], [g[1], g[0], asm.boundary_edge()])
-    elif pl.kind == "II":
-        asm.add_triangle([u, w, z], [g[0], g[2], g[1]])
-    elif pl.kind in ("IIIa", "IIIb"):
+        return [(g[1], g[0], next(bnd))]
+    if pl.kind == "II":
+        return [(g[0], g[2], g[1])]
+    if pl.kind in ("IIIa", "IIIb"):
         loop, rad, t_arc = g
         if pl.kind == "IIIa":
-            sides = [asm.boundary_edge(), t_arc, loop]  # arrows loop->t, rad->t
+            sides = (next(bnd), t_arc, loop)  # arrows loop->t, rad->t
         else:
-            sides = [t_arc, asm.boundary_edge(), loop]  # arrows t->loop, t->rad
-        asm.add_triangle([u, w, u], sides)
-        asm.add_triangle([u, u, z], [loop, rad, rad])
-    elif pl.kind == "IV":
+            sides = (t_arc, next(bnd), loop)  # arrows t->loop, t->rad
+        return [sides, (loop, rad, rad)]
+    if pl.kind == "IV":
         o1, o2, loop, rad = g
-        asm.add_triangle([u, w, u], [o1, o2, loop])
-        asm.add_triangle([u, u, z], [loop, rad, rad])
-    elif pl.kind == "V":
+        return [(o1, o2, loop), (loop, rad, rad)]
+    if pl.kind == "V":
         O, l1, r1, l2, r2 = g
-        asm.add_triangle([u, u, u], [O, l2, l1])
-        asm.add_triangle([u, u, w], [l1, r1, r1])
-        asm.add_triangle([u, u, z], [l2, r2, r2])
-    else:
-        raise ValueError(f"unknown block kind {pl.kind}")
+        return [(O, l2, l1), (l1, r1, r1), (l2, r2, r2)]
+    raise ValueError(f"unknown block kind {pl.kind}")
 
 
 def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, IdealTriangulation]:
@@ -512,53 +481,16 @@ def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, Id
     Unmatched outlets receive an extra triangle with two boundary sides;
     bare vertices become the diagonal of a square patch. Arc i of the result
     is matrix vertex i; the signed adjacency of the result equals the
-    assembled matrix exactly.
+    assembled matrix exactly. Boundary segments are numbered n, n + 1, ...
+    in the order the pieces, patches and caps create them.
     """
     validate_decomposition(d)
     n = d.n
-    asm = _Assembler(n)
-    for pl in d.blocks:
-        _instantiate_piece(asm, pl)
+    bnd = itertools.count(n)
+    sides = [tri for pl in d.blocks for tri in _instantiate_piece(pl, bnd)]
     for v in d.bare:
-        a, b, c, e = asm.new_vertices(4)
-        asm.add_triangle([a, b, c], [asm.boundary_edge(), asm.boundary_edge(), v])
-        asm.add_triangle([a, c, e], [v, asm.boundary_edge(), asm.boundary_edge()])
-
-    for gv, slots in sorted(asm.arc_slots.items()):
-        if len(slots) == 1:
-            (a, b), = slots
-            z, = asm.new_vertices(1)
-            asm.add_triangle([b, a, z], [gv, asm.boundary_edge(), asm.boundary_edge()])
-        elif len(slots) == 2:
-            (a1, b1), (a2, b2) = slots
-            asm.corners.union(a1, b2)
-            asm.corners.union(b1, a2)
-        else:
-            raise ValueError(f"arc {gv} would have {len(slots)} slots")
-
-    # vertices are numbered by first appearance; boundary components join
-    # the ends of their segments, and a puncture touches no boundary slot
-    classes: dict[int, int] = {}
-
-    def vid(v):
-        return classes.setdefault(asm.corners.find(v), len(classes))
-
-    tris = [Triangle(tuple(map(vid, verts)), edges) for verts, edges in asm.triangles]
-    components = UnionFind()
-    boundary_vertices = set()
-    for t in tris:
-        for i, e in enumerate(t.edges):
-            if e >= n:
-                ends = t.vertices[i], t.vertices[(i + 1) % 3]
-                components.union(*ends)
-                boundary_vertices.update(ends)
-    counts = Counter(components.find(v) for v in boundary_vertices)
-    flags = [v not in boundary_vertices for v in range(len(classes))]
-
-    V, E, F = len(classes), asm.num_edges, len(tris)
-    genus2 = 2 - len(counts) - (V - E + F)
-    if genus2 % 2:
-        raise ValueError("assembled surface has inconsistent Euler characteristic")
-    surf = validate_surface(genus=genus2 // 2, boundary=list(counts.values()),
-                            punctures=flags.count(True))
-    return surf, IdealTriangulation(surf, tris, n, E - n, flags)
+        sides += [(next(bnd), next(bnd), v), (v, next(bnd), next(bnd))]
+    slots = Counter(e for tri in sides for e in tri)
+    sides += [(v, next(bnd), next(bnd)) for v in range(n) if slots[v] == 1]
+    T = _from_sides(sides, n)
+    return T.surface, T

@@ -80,10 +80,7 @@ def cmd_flip(args, out) -> int:
 
 
 def cmd_b_matrix(args, out) -> int:
-    if not args.surface and not args.triangulation:
-        print("b-matrix needs --surface or --triangulation", file=sys.stderr)
-        return 2
-    if args.surface:
+    if args.surface is not None:
         s = _load_surface(args.surface)
         T = trimap.initial_triangulation(s)
     else:
@@ -223,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flip)
 
     p = sub.add_parser("b-matrix", help="signed adjacency matrix of a triangulation")
-    p.add_argument("--triangulation")
-    p.add_argument("--surface")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--triangulation")
+    source.add_argument("--surface")
     p.set_defaults(func=cmd_b_matrix)
 
     p = sub.add_parser("tagged-bfs", help="breadth-first search of tagged flips")
@@ -289,7 +287,7 @@ def main(argv=None, out=None) -> int:
     except blocks.BudgetExhausted as exc:
         _emit({"error": "undecided", "detail": str(exc)}, out)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -18,6 +18,10 @@ slot.
 The validator enforces the rank formula, the vertex and flag counts, id
 ranges, triangle shape, slot counts, opposite traversal, the Euler count and
 the link rule; every constructor and flip runs it.
+
+Builders (`initial_triangulation`, `blocks.surface_from_decomposition`)
+produce side lists only; `_from_sides` reads the vertices, punctures and
+surface off the gluing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 from ._explore import UnionFind, explore
 from .mutation import ExchangeMatrix, _is_int_list, _require_fields
-from .surface import MarkedSurface
+from .surface import MarkedSurface, validate_surface
 
 
 class UnknownArc(ValueError):
@@ -255,95 +259,89 @@ class IdealTriangulation:
 
 
 class _Builder:
-    """Mutable scratch state; ids are relabeled canonically on finish."""
+    """Mutable build state: each triangle's side edges; edge ids are
+    relabeled canonically on finish and the rest is read off the gluing."""
 
     def __init__(self):
-        self.triangles: list[tuple[list[int], list[int]]] = []
-        self.edge_kind: dict[int, str] = {}
+        self.triangles: list[list[int]] = []
         self.boundary_component: dict[int, int] = {}
-        self.vertex_puncture: dict[int, bool] = {}
         self._next_edge = 0
-        self._next_vertex = 0
 
-    def new_vertex(self, puncture: bool) -> int:
-        v = self._next_vertex
-        self._next_vertex += 1
-        self.vertex_puncture[v] = puncture
-        return v
-
-    def new_edge(self, kind: str, component: int | None = None) -> int:
+    def new_edge(self, component: int | None = None) -> int:
+        """A new arc, or a boundary segment of the given component."""
         e = self._next_edge
         self._next_edge += 1
-        self.edge_kind[e] = kind
-        if kind == "boundary":
+        if component is not None:
             self.boundary_component[e] = component
         return e
 
-    def add_triangle(self, verts, edges):
-        self.triangles.append((list(verts), list(edges)))
-
     def subdivide(self, t: int):
         """Insert a puncture inside triangle t (one triangle -> three)."""
-        verts, edges = self.triangles[t]
-        u, v, w = verts
-        e0, e1, e2 = edges
-        q = self.new_vertex(puncture=True)
-        ru = self.new_edge("arc")
-        rv = self.new_edge("arc")
-        rw = self.new_edge("arc")
-        self.triangles[t] = ([u, v, q], [e0, rv, ru])
-        self.add_triangle([v, w, q], [e1, rw, rv])
-        self.add_triangle([w, u, q], [e2, ru, rw])
+        e0, e1, e2 = self.triangles[t]
+        ru, rv, rw = self.new_edge(), self.new_edge(), self.new_edge()
+        self.triangles[t] = [e0, rv, ru]
+        self.triangles += [[e1, rw, rv], [e2, ru, rw]]
 
     def split_boundary(self, component: int):
         """Add one marked point on the given boundary component."""
-        t, i = next((t, i) for t, (_, edges) in enumerate(self.triangles)
+        t, i = next((t, i) for t, edges in enumerate(self.triangles)
                     for i, e in enumerate(edges) if self.boundary_component.get(e) == component)
-        verts, edges = self.triangles[t]
-        u, v, w = verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]
+        edges = self.triangles[t]
         f, g = edges[(i + 1) % 3], edges[(i + 2) % 3]
-        m = self.new_vertex(puncture=False)
-        s1 = self.new_edge("boundary", component)
-        s2 = self.new_edge("boundary", component)
-        d = self.new_edge("arc")
-        self.triangles[t] = ([u, m, w], [s1, d, g])
-        self.add_triangle([m, v, w], [s2, f, d])
+        s1, s2, d = self.new_edge(component), self.new_edge(component), self.new_edge()
+        self.triangles[t] = [s1, d, g]
+        self.triangles.append([s2, f, d])
 
-    def finish(self, surface: MarkedSurface) -> IdealTriangulation:
-        arc_order: list[int] = []
-        bnd_order: list[int] = []
-        vert_order: list[int] = []
-        seen_e, seen_v = set(), set()
-        for verts, edges in self.triangles:
-            for e in edges:
-                if e not in seen_e:
-                    seen_e.add(e)
-                    (arc_order if self.edge_kind[e] == "arc" else bnd_order).append(e)
-            for v in verts:
-                if v not in seen_v:
-                    seen_v.add(v)
-                    vert_order.append(v)
-        n = len(arc_order)
-        emap = {e: i for i, e in enumerate(arc_order)}
-        emap.update({e: n + i for i, e in enumerate(bnd_order)})
-        vmap = {v: i for i, v in enumerate(vert_order)}
-        tris = [Triangle(tuple(vmap[v] for v in verts), tuple(emap[e] for e in edges))
-                for verts, edges in self.triangles]
-        flags = [False] * len(vert_order)
-        for v, i in vmap.items():
-            flags[i] = self.vertex_puncture[v]
-        return IdealTriangulation(surface, tris, n, len(bnd_order), flags)
+    def finish(self) -> IdealTriangulation:
+        """Arcs, then boundary segments, numbered by first appearance."""
+        order = sorted(dict.fromkeys(e for edges in self.triangles for e in edges),
+                       key=lambda e: e in self.boundary_component)  # stable: arcs first
+        emap = {e: i for i, e in enumerate(order)}
+        n = sum(e not in self.boundary_component for e in order)
+        return _from_sides([[emap[e] for e in edges] for edges in self.triangles], n)
+
+
+def _from_sides(sides, n: int) -> IdealTriangulation:
+    """The triangulation glued from its triangles' side lists.
+
+    sides[t] lists the edges of triangle t counterclockwise: arcs 0..n-1 in
+    two slots each, boundary segments n, n + 1, ... in one. The gluing fixes
+    the rest. Corners join by the link rule into vertices, numbered by first
+    corner; a puncture starts no boundary segment; boundary components join
+    segments end to start; the Euler count gives the genus.
+    """
+    edges = [e for tri in sides for e in tri]
+    c = len(edges) - 2 * n
+    if sorted(edges) != sorted([*range(n), *range(n + c)]):
+        raise InvalidTriangulation("each arc must fill two slots and each boundary segment one")
+    partner = _partners(edges, n)
+    corners = UnionFind()
+    for s, p in enumerate(partner):
+        if p >= 0:
+            corners.union(s, p + 1 if p % 3 < 2 else p - 2)
+    vid: dict[int, int] = {}
+    verts = [vid.setdefault(corners.find(s), len(vid)) for s in range(len(edges))]
+    ends = {verts[s]: verts[s + 1 if s % 3 < 2 else s - 2] for s, e in enumerate(edges) if e >= n}
+    flags = [v not in ends for v in range(len(vid))]
+    boundary = []
+    while ends:
+        v, k = next(iter(ends)), 0
+        while v in ends:
+            v, k = ends.pop(v), k + 1
+        boundary.append(k)
+    genus2 = 2 - len(boundary) - (len(vid) - (n + c) + len(sides))
+    if genus2 % 2:
+        raise InvalidTriangulation("the gluing has an odd Euler count")
+    surface = validate_surface(genus2 // 2, boundary, flags.count(True))
+    tris = [Triangle(tuple(verts[3 * t:3 * t + 3]), tuple(tri)) for t, tri in enumerate(sides)]
+    return IdealTriangulation(surface, tris, n, c, flags)
 
 
 def _wheel(bld: _Builder, c: int):
     """Once-punctured c-gon: all boundary vertices joined to the puncture."""
-    vs = [bld.new_vertex(False) for _ in range(c)]
-    center = bld.new_vertex(True)
-    sides = [bld.new_edge("boundary", 0) for _ in range(c)]
-    radii = [bld.new_edge("arc") for _ in range(c)]
-    for i in range(c):
-        j = (i + 1) % c
-        bld.add_triangle([vs[i], vs[j], center], [sides[i], radii[j], radii[i]])
+    sides = [bld.new_edge(0) for _ in range(c)]
+    radii = [bld.new_edge() for _ in range(c)]
+    bld.triangles += [[sides[i], radii[(i + 1) % c], radii[i]] for i in range(c)]
 
 
 def _glued_polygon(bld: _Builder, word: list[tuple[str, object]]):
@@ -352,39 +350,26 @@ def _glued_polygon(bld: _Builder, word: list[tuple[str, object]]):
     Side i of the boundary word runs from corner i to corner i+1. A side
     ("free", comp) becomes a boundary segment of component comp; the two
     sides ("glue", name) of one name become one arc, the second a reversed
-    copy of the first. A corner class that touches no free side becomes a
-    puncture.
+    copy of the first.
     """
     K = len(word)
     if K < 3:
         raise InvalidTriangulation("polygon template needs at least 3 sides")
-    corners = UnionFind()
     side_edge: list[int] = []
     first: dict[object, int] = {}
-    for i, (kind, datum) in enumerate(word):
+    for kind, datum in word:
         if kind == "free":
-            side_edge.append(bld.new_edge("boundary", datum))
+            side_edge.append(bld.new_edge(datum))
         elif datum in first:
-            j = first[datum]
-            # side j runs P_j -> P_{j+1}; side i is the reversed copy
-            corners.union(j, (i + 1) % K)
-            corners.union((j + 1) % K, i)
-            side_edge.append(side_edge[j])
+            side_edge.append(first[datum])
         else:
-            first[datum] = i
-            side_edge.append(bld.new_edge("arc"))
-
-    roots = [corners.find(i) for i in range(K)]
-    on_boundary = {roots[c] for i, (kind, _) in enumerate(word) if kind == "free"
-                   for c in (i, (i + 1) % K)}
-    vertex = {r: bld.new_vertex(puncture=r not in on_boundary) for r in dict.fromkeys(roots)}
-    vs = [vertex[r] for r in roots]
+            first[datum] = bld.new_edge()
+            side_edge.append(first[datum])
 
     # spoke[j] joins corner 0 to corner j + 1: the first side, the fan's
     # diagonals, then the last side
-    spoke = [side_edge[0]] + [bld.new_edge("arc") for _ in range(2, K - 1)] + [side_edge[K - 1]]
-    for i in range(1, K - 1):
-        bld.add_triangle([vs[0], vs[i], vs[i + 1]], [spoke[i - 1], side_edge[i], spoke[i]])
+    spoke = [side_edge[0]] + [bld.new_edge() for _ in range(2, K - 1)] + [side_edge[K - 1]]
+    bld.triangles += [[spoke[i - 1], side_edge[i], spoke[i]] for i in range(1, K - 1)]
 
 
 def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
@@ -402,35 +387,37 @@ def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
 
     if b == 0 and g == 0:
         # boundary of a tetrahedron: a 4-punctured sphere
-        vs = [bld.new_vertex(True) for _ in range(4)]
-        eid = {}
-        for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
-            eid[pair] = bld.new_edge("arc")
+        eid = {pair: bld.new_edge() for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
 
         def E(x, y):
             return eid[(min(x, y), max(x, y))]
 
-        for (x, y, z) in [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]:
-            bld.add_triangle([vs[x], vs[y], vs[z]], [E(x, y), E(y, z), E(z, x)])
+        faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+        bld.triangles = [[E(x, y), E(y, z), E(z, x)] for x, y, z in faces]
+        template_punctures = 4
     elif g == 0 and b == 1 and s.punctures:
         _wheel(bld, cs[0])
+        template_punctures = 1
     elif g == 0 and b == 1:
         _glued_polygon(bld, [("free", 0)] * cs[0])
+        template_punctures = 0
     else:
         # a b a' b' per handle, a tether t f t' per extra boundary component,
-        # then one free side for component 0
+        # then one free side for component 0; all corners meet at one
+        # puncture when there is no boundary
         word = [("glue", (x, h)) for h in range(g) for x in "abab"]
         for comp in range(1, b):
             word += [("glue", ("t", comp)), ("free", comp), ("glue", ("t", comp))]
         _glued_polygon(bld, word + [("free", 0)] * min(b, 1))
+        template_punctures = int(b == 0)
         # component j currently has one marked point; add the rest
         for comp, cj in enumerate(cs):
             for _ in range(cj - 1):
                 bld.split_boundary(comp)
 
-    for _ in range(s.punctures - sum(bld.vertex_puncture.values())):
+    for _ in range(s.punctures - template_punctures):
         target = None
-        for t, (_, edges) in enumerate(bld.triangles):
+        for t, edges in enumerate(bld.triangles):
             if len(set(edges)) < 3:  # clear self-folded intermediates first
                 target = t
                 break
@@ -438,7 +425,9 @@ def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
             target = len(bld.triangles) - 1
         bld.subdivide(target)
 
-    tri = bld.finish(s)
+    tri = bld.finish()
+    if tri.surface != s:
+        raise InvalidTriangulation(f"template built {tri.surface}, not {s}")
     if any(t.self_folded for t in tri.triangles):
         raise InvalidTriangulation("initial triangulation must avoid self-folded triangles")
     return tri
@@ -539,11 +528,16 @@ def _slots(triangles, n: int):
     """The flat slot table (edges, verts, partner) of a triangle list.
 
     Slot 3t + i is side i of triangle t: edges[s] is its edge and verts[s]
-    the corner it starts at; partner[s] is the other slot of arc edges[s]
-    (edge ids below n), or -1 for a boundary slot.
+    the corner it starts at; partner is `_partners(edges, n)`.
     """
     edges = [e for tri in triangles for e in tri.edges]
     verts = [v for tri in triangles for v in tri.vertices]
+    return edges, verts, _partners(edges, n)
+
+
+def _partners(edges, n: int) -> list[int]:
+    """partner[s] is the other slot of arc edges[s] (edge ids below n), or
+    -1 for a boundary slot."""
     partner = [-1] * len(edges)
     first = {}
     for s, e in enumerate(edges):
@@ -553,7 +547,7 @@ def _slots(triangles, n: int):
                 first[e] = s
             else:
                 partner[o], partner[s] = s, o
-    return edges, verts, partner
+    return partner
 
 
 def canonical_key(T: IdealTriangulation, extra=()) -> tuple:

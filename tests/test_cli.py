@@ -271,6 +271,24 @@ def test_clusters_cmd():
     assert data["error"] == "excluded-model"
 
 
+def test_unreadable_path_exits_2(tmp_path, capsys):
+    # a directory where a JSON file is expected: an OSError, not a rejection
+    for argv in (["corank", "--matrix", str(tmp_path)], ["triangulate", "--surface", str(tmp_path)]):
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    ["--surface", '{"genus":1,"boundary":[],"punctures":1}', "--triangulation", '{"bogus":1}'],
+    [],
+], ids=["both", "neither"])
+def test_b_matrix_needs_exactly_one_source(options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["b-matrix"] + options)
+    assert exc.value.code == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

@@ -1,6 +1,10 @@
-import pytest
+import hashlib
+import json
 
-from surfcluster import mutation as mu, surface as sf, trimap as tm
+import pytest
+from conftest import BATTERY
+
+from surfcluster import blocks as bl, mutation as mu, surface as sf, trimap as tm
 
 
 def build(desc):
@@ -178,3 +182,36 @@ def test_validate_rejection_bases_are_valid():
         s = sf.validate_surface(*desc)
         T = tm.IdealTriangulation(s, tris, s.rank, s.boundary_points, flags)
         assert T == tm.initial_triangulation(s)
+
+
+def test_builders_output_pinned():
+    # the exact JSON, vertex and edge numbering included, of the initial
+    # triangulations and of the surfaces rebuilt from their block
+    # decompositions; no other test pins the numbering
+    out = []
+    for desc in BATTERY:
+        T0 = tm.initial_triangulation(sf.validate_surface(*desc))
+        _, T1 = bl.surface_from_decomposition(bl.decompose(tm.signed_adjacency(T0)))
+        out.append([T0.to_json(), T1.to_json()])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "e11600820b8891118e6505ceadf3f5c4320122c8b6683c12ab34f19bc3839f90"
+
+
+def test_from_sides_round_trip(battery_triangulations):
+    for desc, (s, nodes) in battery_triangulations.items():
+        for i, T in enumerate(nodes):
+            R = tm._from_sides([t.edges for t in T.triangles], T.num_arcs)
+            assert R.surface == s and len(R.punctures()) == s.punctures
+            assert tm.signed_adjacency(R).rows == tm.signed_adjacency(T).rows
+            if i == 0:
+                assert R.to_json() == T.to_json()
+
+
+@pytest.mark.parametrize("sides, n", [
+    ([(2, 3, 0), (0, 4, 0), (1, 5, 6)], 2),  # arc 0 fills three slots
+    ([(2, 3, 0), (0, 4, 1), (1, 5, 6)], 3),  # arc 2 fills one slot
+    ([(2, 3, 0), (0, 4, 1), (1, 5, 5)], 2),  # segment 5 fills two slots
+])
+def test_from_sides_rejects_slot_counts(sides, n):
+    with pytest.raises(tm.InvalidTriangulation, match="two slots"):
+        tm._from_sides(sides, n)
