@@ -1,11 +1,11 @@
 """Command-line front end: JSON in, JSON (or DOT) out.
 
-Exit codes: 0 success, 1 domain rejection (excluded surface, non-surface
-matrix, unknown type, a cluster variable whose exponents leave the packed
-range), 2 usage error, 3 undecided (the block search of is-surface-matrix
-or recognize-type ran out of budget). Rejections and undecided answers
-print a machine readable {"error": ..., "detail": ...} object; an unknown
-type prints {"type": "Unknown"}.
+Exit codes: 0 success, 1 domain rejection (excluded surface, empty marking,
+non-surface matrix, unknown type, a cluster variable whose exponents leave
+the packed range), 2 usage error, 3 undecided (the block search of
+is-surface-matrix or recognize-type ran out of budget). Rejections and
+undecided answers print a machine readable {"error": ..., "detail": ...}
+object; an unknown type prints {"type": "Unknown"}.
 """
 
 from __future__ import annotations
@@ -52,12 +52,7 @@ def _load_matrix(value: str) -> mutation.ExchangeMatrix:
 
 
 def cmd_surface_classify(args, out) -> int:
-    try:
-        s = _load_surface(args.descriptor)
-    except surface.ExcludedSurface as exc:
-        return _fail("excluded-surface", exc.reason, out)
-    except surface.EmptyMarking as exc:
-        return _fail("empty-marking", str(exc), out)
+    s = _load_surface(args.descriptor)
     c = surface.classify(s)
     _emit({"surface": s.to_json(), "classification": c.to_json()}, out)
     return 0
@@ -280,10 +275,10 @@ def main(argv=None, out=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except (surface.ExcludedSurface, surface.EmptyMarking) as exc:
+    except surface.ExcludedSurface as exc:
         return _fail("excluded-surface", str(exc), out)
-    except surface.NotRealizable as exc:
-        return _fail("not-realizable", str(exc), out)
+    except surface.EmptyMarking as exc:
+        return _fail("empty-marking", str(exc), out)
     except blocks.BudgetExhausted as exc:
         _emit({"error": "undecided", "detail": str(exc)}, out)
         return 3

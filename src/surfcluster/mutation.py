@@ -324,13 +324,17 @@ def mutation_class(B: ExchangeMatrix, max_size: int = 10000) -> MutationClass:
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    def moves(M):
-        for k in range(M.n):
-            Mk = mutate(M, k)
-            yield canonical_form(Mk) if Mk.entries_bounded_by(ENTRY_CEILING) else None
-
-    nodes, _, _, complete = explore(canonical_form(B), moves, _rows, max_size)
+    nodes, _, _, complete = explore(canonical_form(B), lambda M: _mutations(M, ENTRY_CEILING),
+                                    _rows, max_size)
     return MutationClass(matrices=tuple(sorted(nodes, key=_rows)), complete=complete, limit=max_size)
+
+
+def _mutations(M: ExchangeMatrix, bound: int):
+    """The canonical forms of M's mutations in index order, with None for a
+    mutation that has an entry beyond `bound` (which ends an `explore`)."""
+    for k in range(M.n):
+        Mk = mutate(M, k)
+        yield canonical_form(Mk) if Mk.entries_bounded_by(bound) else None
 
 
 def _rows(M: ExchangeMatrix):
@@ -624,9 +628,7 @@ def recognize_type(B: ExchangeMatrix) -> str:
     hit = []
 
     def moves(M):
-        for k in range(M.n):
-            Mk = mutate(M, k)
-            C = canonical_form(Mk) if Mk.entries_bounded_by(_CLASS_ENTRY_BOUND) else None
+        for C in _mutations(M, _CLASS_ENTRY_BOUND):
             if C is not None and C.rows in known:
                 hit.append(known[C.rows])
                 C = None

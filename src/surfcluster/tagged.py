@@ -116,7 +116,7 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
                 perm[fold], perm[loop] = perm.get(loop, loop), perm.get(fold, fold)
     if perm:
         tris = [Triangle(t.vertices, tuple(perm.get(e, e) for e in t.edges)) for t in tris]
-    M2 = IdealTriangulation(base.surface, tris, base.num_arcs, base.num_boundary, base.puncture_flags)
+    M2 = IdealTriangulation(base.surface, tris)
     sig2 = tuple(sorted((v, 0 if v in enclosed else signs[v]) for v in signs))
     return TaggedTriangulation(M2, sig2)
 

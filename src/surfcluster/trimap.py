@@ -15,9 +15,13 @@ vertex form one orbit of this turn, a cycle at a puncture and, at a boundary
 vertex, a path from a corner entered across a boundary slot to a boundary
 slot.
 
-The validator enforces the rank formula, the vertex and flag counts, id
-ranges, triangle shape, slot counts, opposite traversal, the Euler count and
-the link rule; every constructor and flip runs it.
+A triangulation is its surface and its triangles: the surface fixes the
+arc count (its rank), the boundary segment count and the vertex count (its
+marked points). The validator enforces id ranges, triangle shape, slot
+counts, opposite traversal, the Euler count and the link rule, and reads the
+punctures off the link walk (the vertices whose orbit is a cycle); every
+constructor and flip runs it. `from_json` also checks what outside JSON
+states against the gluing: the counts, the puncture list and the surface.
 
 Builders (`initial_triangulation`, `blocks.surface_from_decomposition`)
 produce side lists only; `_from_sides` reads the vertices, punctures and
@@ -76,22 +80,16 @@ class Triangle:
 class IdealTriangulation:
     """Immutable triangulated marked surface; flips return new values."""
 
-    def __init__(self, surface: MarkedSurface, triangles, num_arcs: int,
-                 num_boundary: int, puncture_flags):
+    def __init__(self, surface: MarkedSurface, triangles):
         self.surface = surface
         self.triangles = tuple(t if isinstance(t, Triangle) else Triangle(tuple(t[0]), tuple(t[1]))
                                for t in triangles)
-        self.num_arcs = num_arcs
-        self.num_boundary = num_boundary
-        self.puncture_flags = tuple(bool(f) for f in puncture_flags)
+        self.num_arcs = surface.rank
+        self.num_boundary = surface.boundary_points
         self._normal = None
-        self.validate()
+        self.validate()  # sets puncture_flags
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.puncture_flags)
 
     def is_arc(self, e: int) -> bool:
         return 0 <= e < self.num_arcs
@@ -133,17 +131,10 @@ class IdealTriangulation:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """Check the map against its surface and set `puncture_flags`."""
         s = self.surface
         n, c = self.num_arcs, self.num_boundary
-        V = len(self.puncture_flags)
-        if n != s.rank:
-            raise InvalidTriangulation(f"{n} arcs but surface rank is {s.rank}")
-        if c != s.boundary_points:
-            raise InvalidTriangulation("boundary segment count must equal marked boundary points")
-        if V != s.boundary_points + s.punctures:
-            raise InvalidTriangulation("vertex count must equal number of marked points")
-        if sum(self.puncture_flags) != s.punctures:
-            raise InvalidTriangulation("puncture flag count mismatch")
+        V = c + s.punctures
         for tri in self.triangles:
             if len(tri.vertices) != 3 or len(tri.edges) != 3:
                 raise InvalidTriangulation(f"triangle {tri} needs three vertices and three edges")
@@ -172,31 +163,31 @@ class IdealTriangulation:
         # slot) go first; once each sits at its own boundary vertex, all
         # V - p = c of those are taken, so a cycle found later at a boundary
         # vertex is a second orbit there. A step that leaves its vertex
-        # crossed an arc not traversed in opposite directions.
-        flags = self.puncture_flags
-        walked = [False] * V
+        # crossed an arc not traversed in opposite directions. The p cycles
+        # left over are the punctures.
+        flags = [None] * V  # True for a cycle, False for a path
         done = [False] * len(verts)
         starts = [b + 1 if b % 3 < 2 else b - 2 for b, p in enumerate(partner) if p < 0]
         for c0 in starts + list(range(len(verts))):
             if done[c0]:
                 continue
             v = verts[c0]
-            if walked[v]:
+            if flags[v] is not None:
                 raise InvalidTriangulation(f"link of vertex {v} has more than one orbit")
-            walked[v] = True
+            flags[v] = True
             cur = c0
             while True:
                 done[cur] = True
                 p = partner[cur]
                 if p < 0:  # the end of a path
-                    if flags[v]:
-                        raise InvalidTriangulation(f"puncture {v} touches the boundary")
+                    flags[v] = False
                     break
                 cur = p + 1 if p % 3 < 2 else p - 2
                 if verts[cur] != v:
                     raise InvalidTriangulation(f"arc {edges[p]} is not traversed in opposite directions")
                 if cur == c0:  # the end of a cycle
                     break
+        self.puncture_flags = tuple(flags)
 
     # -- equality up to representation ------------------------------------
 
@@ -204,8 +195,7 @@ class IdealTriangulation:
         if self._normal is None:
             tris = sorted((t.normalized() for t in self.triangles),
                           key=lambda t: (t.edges, t.vertices))
-            self._normal = (self.surface, self.num_arcs, self.num_boundary,
-                            self.puncture_flags, tuple((t.edges, t.vertices) for t in tris))
+            self._normal = (self.surface, tuple((t.edges, t.vertices) for t in tris))
         return self._normal
 
     def __eq__(self, other):
@@ -218,8 +208,7 @@ class IdealTriangulation:
         """New triangulation with arc e renamed perm.get(e, e)."""
         tris = [Triangle(t.vertices, tuple(perm.get(e, e) if self.is_arc(e) else e for e in t.edges))
                 for t in self.triangles]
-        return IdealTriangulation(self.surface, tris, self.num_arcs, self.num_boundary,
-                                  self.puncture_flags)
+        return IdealTriangulation(self.surface, tris)
 
     # -- serialization ------------------------------------------------------
 
@@ -229,12 +218,15 @@ class IdealTriangulation:
             "triangles": [{"v": list(t.vertices), "e": list(t.edges)} for t in self.triangles],
             "arcs": self.num_arcs,
             "boundary_segments": self.num_boundary,
-            "punctures": [v for v in range(self.num_vertices) if self.puncture_flags[v]],
+            "punctures": self.punctures(),
         }
 
     @staticmethod
     def from_json(data: dict) -> "IdealTriangulation":
-        """Read outside JSON: a non-empty triangle list, integer ids and counts."""
+        """Read outside JSON: a non-empty triangle list, integer ids and counts.
+
+        The counts, the puncture list (none when absent) and the surface must
+        be those of the gluing."""
         shape = ('{"surface": {...}, "triangles": [{"v": [integers], "e": [integers]}, ...], '
                  '"arcs": integer, "boundary_segments": integer} with an optional "punctures": [integers]')
         _require_fields(data, ("surface", "triangles", "arcs", "boundary_segments"), shape)
@@ -243,15 +235,22 @@ class IdealTriangulation:
             if type(t) is dict:
                 _require_fields(t, ("v", "e"), shape)
         surf = MarkedSurface.from_json(data["surface"])
-        counts = [data["arcs"], data["boundary_segments"]]
-        if not (type(raw) is list and raw and _is_int_list(counts) and _is_int_list(punctures)
+        n, c = data["arcs"], data["boundary_segments"]
+        if not (type(raw) is list and raw and _is_int_list([n, c]) and _is_int_list(punctures)
                 and all(type(t) is dict and _is_int_list(t["v"]) and _is_int_list(t["e"]) for t in raw)):
             raise InvalidTriangulation("expected a non-empty list of triangles {v, e} and counts "
                                        "and ids that are JSON integers")
-        tris = [Triangle(tuple(t["v"]), tuple(t["e"])) for t in raw]
-        num_vertices = max(max(t.vertices, default=-1) for t in tris) + 1
-        flags = [v in punctures for v in range(num_vertices)]
-        return IdealTriangulation(surf, tris, *counts, flags)
+        if n != surf.rank:
+            raise InvalidTriangulation(f"{n} arcs but surface rank is {surf.rank}")
+        if c != surf.boundary_points:
+            raise InvalidTriangulation("boundary segment count must equal marked boundary points")
+        T = IdealTriangulation(surf, [Triangle(tuple(t["v"]), tuple(t["e"])) for t in raw])
+        if punctures != T.punctures():
+            raise InvalidTriangulation(f"puncture list {punctures} is not the gluing's {T.punctures()}")
+        glued = _from_sides([t.edges for t in T.triangles], n).surface
+        if glued != surf:
+            raise InvalidTriangulation(f"the gluing is {glued}, not {surf}")
+        return T
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +321,7 @@ def _from_sides(sides, n: int) -> IdealTriangulation:
     vid: dict[int, int] = {}
     verts = [vid.setdefault(corners.find(s), len(vid)) for s in range(len(edges))]
     ends = {verts[s]: verts[s + 1 if s % 3 < 2 else s - 2] for s, e in enumerate(edges) if e >= n}
-    flags = [v not in ends for v in range(len(vid))]
-    boundary = []
+    punctures, boundary = len(vid) - len(ends), []
     while ends:
         v, k = next(iter(ends)), 0
         while v in ends:
@@ -332,9 +330,9 @@ def _from_sides(sides, n: int) -> IdealTriangulation:
     genus2 = 2 - len(boundary) - (len(vid) - (n + c) + len(sides))
     if genus2 % 2:
         raise InvalidTriangulation("the gluing has an odd Euler count")
-    surface = validate_surface(genus2 // 2, boundary, flags.count(True))
+    surface = validate_surface(genus2 // 2, boundary, punctures)
     tris = [Triangle(tuple(verts[3 * t:3 * t + 3]), tuple(tri)) for t, tri in enumerate(sides)]
-    return IdealTriangulation(surface, tris, n, c, flags)
+    return IdealTriangulation(surface, tris)
 
 
 def _wheel(bld: _Builder, c: int):
@@ -452,8 +450,7 @@ def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
     newly created self-folded triangles) need no special cases. The new arc
     reuses id k.
     """
-    return IdealTriangulation(T.surface, _flipped_triangles(T, k), T.num_arcs, T.num_boundary,
-                              T.puncture_flags)
+    return IdealTriangulation(T.surface, _flipped_triangles(T, k))
 
 
 def _flipped_triangles(T: IdealTriangulation, k: int, slots=None) -> list[Triangle]:

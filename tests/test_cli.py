@@ -150,6 +150,37 @@ def test_triangulation_surface_not_an_object_exits_2(capsys):
         "invalid input: a surface must be a JSON object {genus, boundary, punctures}\n"
 
 
+@pytest.mark.parametrize("desc, field, value, detail", [
+    ((0, [3, 1], 0), "arcs", 5, "5 arcs but surface rank is 4"),
+    ((0, [3, 1], 0), "boundary_segments", 3, "boundary segment count must equal"),
+    ((0, [3, 1], 0), "punctures", [0], "puncture list [0] is not the gluing's []"),
+    ((0, [3], 1), "punctures", None, "puncture list [] is not the gluing's [2]"),
+    ((0, [3, 1], 0), "surface", {"genus": 0, "boundary": [2, 2], "punctures": 0},
+     "the gluing is MarkedSurface(genus=0, boundary=(3, 1), punctures=0), not"),
+], ids=["arcs", "boundary-segments", "punctures", "punctures-absent", "mislabeled-boundary"])
+def test_triangulation_disagreeing_with_its_gluing_exits_2(desc, field, value, detail, capsys):
+    # a triangulate output with one stated field changed (None: removed)
+    surf = dict(zip(("genus", "boundary", "punctures"), desc))
+    code, tri = run(["triangulate", "--surface", json.dumps(surf)])
+    assert run(["flip", "--triangulation", json.dumps(tri), "--arc", "0"])[0] == 0
+    if value is None:
+        del tri[field]
+    else:
+        tri[field] = value
+    code, out = run(["flip", "--triangulation", json.dumps(tri), "--arc", "0"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and detail in err, err
+
+
+def test_empty_marking_has_one_error_code():
+    for argv in (["surface", "classify"], ["triangulate", "--surface"], ["tagged-bfs", "--surface"]):
+        code, data = run(argv + ['{"genus":0,"boundary":[0],"punctures":0}'])
+        assert code == 1
+        assert data == {"error": "empty-marking",
+                        "detail": "every boundary component needs at least one marked point"}
+
+
 def test_is_surface_matrix_undecided(monkeypatch):
     decompose = blocks.decompose
     monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))

@@ -140,6 +140,18 @@ def test_torus_two_components():
     assert len(Gn.nodes) == len(G.nodes)
 
 
+def test_flips_keep_the_punctures(battery_triangulations):
+    # flips keep every vertex, so each node's punctures, which the link walk
+    # derives, are those of its start
+    for s, nodes in battery_triangulations.values():
+        assert all(T.punctures() == nodes[0].punctures() for T in nodes)
+    T0 = tm.initial_triangulation(sf.validate_surface(0, [1], 3))
+    G = tg.exchange_graph_bfs(tg.tag_with(T0, {v: -1 for v in T0.punctures()[:2]}), max_nodes=300)
+    assert {sig for T in G.nodes for _, sig in T.signatures} == {-1, 0, 1}
+    for T in G.nodes:
+        assert T.base.punctures() == T0.punctures() == [v for v, _ in T.signatures]
+
+
 def test_twice_punctured_monogon_all_strata():
     G = graph((0, [1], 2), max_nodes=400)
     assert not G.truncated
@@ -188,7 +200,7 @@ def test_key_equality_is_arc_relabeling(desc):
         # the same relabeling stored with triangles reordered and rotated
         tris = [t.rotated(rng.randrange(3)) for t in relabeled(M, perm).triangles]
         rng.shuffle(tris)
-        return tm.IdealTriangulation(M.surface, tris, M.num_arcs, M.num_boundary, M.puncture_flags)
+        return tm.IdealTriangulation(M.surface, tris)
 
     def check(nodes, key, parts, form, relabel):
         # the pool holds every node and one random relabeling of it, so both

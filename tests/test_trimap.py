@@ -139,6 +139,7 @@ def test_exceptional_four_punctured_sphere_reachable():
 PENTAGON = [((0, 1, 2), (2, 3, 0)), ((0, 2, 3), (0, 4, 1)), ((0, 3, 4), (1, 5, 6))]  # (0,[5],0): 2 arcs
 WHEEL = [((0, 1, 2), (3, 0, 1)), ((1, 3, 2), (4, 2, 0)), ((3, 0, 2), (5, 1, 2))]  # (0,[3],1): puncture 2
 TETRAHEDRON = [((0, 1, 2), (0, 1, 2)), ((0, 2, 3), (2, 3, 4)), ((0, 3, 1), (4, 5, 0)), ((1, 3, 2), (5, 3, 1))]
+ANNULUS = [((0, 1, 1), (0, 4, 1)), ((0, 2, 1), (5, 2, 0)), ((3, 0, 1), (6, 1, 3)), ((2, 3, 1), (7, 3, 2))]  # (0,[3,1],0)
 
 
 def _with(tris, t, vertices=None, edges=None):
@@ -148,10 +149,11 @@ def _with(tris, t, vertices=None, edges=None):
 
 
 @pytest.mark.parametrize("desc, tris, n, c, flags, match", [
+    # the first four disagree with the gluing only in what the JSON states
     ((0, [5], 0), PENTAGON, 3, 5, [False] * 5, "surface rank"),
     ((0, [5], 0), PENTAGON, 2, 4, [False] * 5, "boundary segment count"),
-    ((0, [5], 0), PENTAGON, 2, 5, [False] * 6, "vertex count"),
-    ((0, [5], 0), PENTAGON, 2, 5, [True] + [False] * 4, "puncture flag count"),
+    ((0, [2, 2], 0), ANNULUS, 4, 4, [False] * 4, "the gluing is"),
+    ((0, [5], 0), PENTAGON, 2, 5, [True] + [False] * 4, "puncture list"),
     ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 3, -1)), 2, 5, [False] * 5, "edge id -1 out of range"),
     ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 3, 7)), 2, 5, [False] * 5, "edge id 7 out of range"),
     ((0, [5], 0), _with(PENTAGON, 0, vertices=(0, 1, 5)), 2, 5, [False] * 5, "vertex id 5 out of range"),
@@ -160,7 +162,8 @@ def _with(tris, t, vertices=None, edges=None):
     ((0, [5], 0), _with(PENTAGON, 0, edges=(2, 4, 0)), 2, 5, [False] * 5, "segment 3 occupies 0 slots"),
     ((0, [5], 0), _with(PENTAGON, 1, edges=(0, 3, 1)), 2, 5, [False] * 5, "segment 3 occupies 2 slots"),
     ((0, [5], 0), _with(PENTAGON, 0, (0, 2, 1), (0, 3, 2)), 2, 5, [False] * 5, "opposite directions"),
-    ((0, [3], 1), WHEEL, 3, 3, [False, False, False, True], "puncture 3 touches the boundary"),
+    # boundary vertex 3 listed as the puncture; the gluing's is 2
+    ((0, [3], 1), WHEEL, 3, 3, [False, False, False, True], "puncture list"),
     ((0, [5], 0), _with(PENTAGON, 2, vertices=(0, 3, 3)), 2, 5, [False] * 5, "vertex 4 has no corners"),
     # vertices 0, 1 and 2, 3 merged: the counts of the twice-punctured torus,
     # which has rank 6 too, but each puncture has two cycles
@@ -170,18 +173,25 @@ def _with(tris, t, vertices=None, edges=None):
     ((0, [5], 0), _with(PENTAGON, 0, (0, 1), (2, 3)), 2, 5, [False] * 5, "three vertices"),
 ])
 def test_validate_rejects(desc, tris, n, c, flags, match):
-    # one check per case, each map one edit away from a valid one
+    # one check per case, each map one edit away from a valid one, read as
+    # JSON with n arcs, c boundary segments and the flagged punctures
+    data = {"surface": dict(zip(("genus", "boundary", "punctures"), desc)),
+            "triangles": [{"v": list(vs), "e": list(es)} for vs, es in tris],
+            "arcs": n, "boundary_segments": c, "punctures": [v for v, f in enumerate(flags) if f]}
     with pytest.raises(tm.InvalidTriangulation, match=match):
-        tm.IdealTriangulation(sf.validate_surface(*desc), tris, n, c, flags)
+        tm.IdealTriangulation.from_json(data)
 
 
 def test_validate_rejection_bases_are_valid():
     for desc, tris, flags in [((0, [5], 0), PENTAGON, [False] * 5),
+                              ((0, [3, 1], 0), ANNULUS, [False] * 4),
                               ((0, [3], 1), WHEEL, [False, False, True, False]),
                               ((0, [], 4), TETRAHEDRON, [True] * 4)]:
         s = sf.validate_surface(*desc)
-        T = tm.IdealTriangulation(s, tris, s.rank, s.boundary_points, flags)
+        T = tm.IdealTriangulation(s, tris)
         assert T == tm.initial_triangulation(s)
+        assert T.puncture_flags == tuple(flags)
+        assert tm.IdealTriangulation.from_json(T.to_json()) == T
 
 
 def test_builders_output_pinned():
