@@ -33,7 +33,7 @@ BLOCK_SPECS: dict[str, tuple[int, frozenset, tuple[tuple[int, int], ...]]] = {
     "V": (5, frozenset({0}), ((0, 1), (0, 2), (3, 0), (4, 0), (1, 3), (1, 4), (2, 3), (2, 4))),
 }
 
-_KIND_ORDER = ("I", "II", "IIIa", "IIIb", "IV", "V")
+_KIND_ORDER = tuple(BLOCK_SPECS)
 
 
 @dataclass(frozen=True)
@@ -450,29 +450,16 @@ def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition 
 # surface reconstruction
 
 
-def _instantiate_piece(pl: BlockPlacement, bnd) -> list[tuple[int, int, int]]:
-    """The side lists of a block's triangulated piece; `bnd` yields fresh
-    boundary segment ids."""
-    g = pl.vertices
-    if pl.kind == "I":
-        # ccw sides (e1, e0, boundary) so the quiver arrow runs 0 -> 1
-        return [(g[1], g[0], next(bnd))]
-    if pl.kind == "II":
-        return [(g[0], g[2], g[1])]
-    if pl.kind in ("IIIa", "IIIb"):
-        loop, rad, t_arc = g
-        if pl.kind == "IIIa":
-            sides = (next(bnd), t_arc, loop)  # arrows loop->t, rad->t
-        else:
-            sides = (t_arc, next(bnd), loop)  # arrows t->loop, t->rad
-        return [sides, (loop, rad, rad)]
-    if pl.kind == "IV":
-        o1, o2, loop, rad = g
-        return [(o1, o2, loop), (loop, rad, rad)]
-    if pl.kind == "V":
-        O, l1, r1, l2, r2 = g
-        return [(O, l2, l1), (l1, r1, r1), (l2, r2, r2)]
-    raise ValueError(f"unknown block kind {pl.kind}")
+# each block's triangulated piece: side lists of block-local vertices, None
+# for a fresh boundary segment
+_PIECES = {
+    "I": ((1, 0, None),),  # (e1, e0, boundary), so the arrow runs 0 -> 1
+    "II": ((0, 2, 1),),
+    "IIIa": ((None, 2, 0), (0, 1, 1)),  # vertices (loop, radius, outlet)
+    "IIIb": ((2, None, 0), (0, 1, 1)),
+    "IV": ((0, 1, 2), (2, 3, 3)),  # (outlet, outlet, loop, radius)
+    "V": ((0, 3, 1), (1, 2, 2), (3, 4, 4)),  # (outlet, loop, radius, loop, radius)
+}
 
 
 def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, IdealTriangulation]:
@@ -487,7 +474,8 @@ def surface_from_decomposition(d: BlockDecomposition) -> tuple[MarkedSurface, Id
     validate_decomposition(d)
     n = d.n
     bnd = itertools.count(n)
-    sides = [tri for pl in d.blocks for tri in _instantiate_piece(pl, bnd)]
+    sides = [tuple(next(bnd) if i is None else pl.vertices[i] for i in tri)
+             for pl in d.blocks for tri in _PIECES[pl.kind]]
     for v in d.bare:
         sides += [(next(bnd), next(bnd), v), (v, next(bnd), next(bnd))]
     slots = Counter(e for tri in sides for e in tri)

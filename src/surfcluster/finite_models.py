@@ -10,9 +10,10 @@ enumeration are closed-form.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
+from ._explore import explore
 from .mutation import ExchangeMatrix, mutate
 
 
@@ -245,19 +246,16 @@ def enumerate_clusters(model: Model):
             if compatible(a, arcs[j]):
                 compat[i][j] = compat[j][i] = True
 
-    clusters = []
+    def grow(chosen):  # each compatible set once, grown in index order
+        if len(chosen) < n:
+            for nxt in range(chosen[-1] + 1 if chosen else 0, len(arcs)):
+                if all(compat[c][nxt] for c in chosen):
+                    yield chosen + (nxt,)
 
-    def grow(chosen, start):
-        if len(chosen) == n:
-            clusters.append(tuple(arcs[i] for i in chosen))
-            return
-        for nxt in range(start, len(arcs)):
-            if all(compat[c][nxt] for c in chosen):
-                grow(chosen + [nxt], nxt + 1)
-
-    grow([], 0)
-    # purity: no compatible set may exceed the rank; the greedy growth above
-    # only collects sets of that exact size, so check maximality explicitly
+    faces = explore((), grow, lambda chosen: chosen, math.inf)[0]
+    clusters = [tuple(arcs[i] for i in chosen) for chosen in faces if len(chosen) == n]
+    # purity: no compatible set may exceed the rank; the growth above stops
+    # at sets of that exact size, so check maximality explicitly
     for cl in clusters:
         chosen = [idx[a] for a in cl]
         for other in range(len(arcs)):
@@ -316,46 +314,29 @@ def exchange_matrices(model: Model, clusters=None, edges=None):
     """
     if clusters is None or edges is None:
         clusters, edges = enumerate_clusters(model)
-    pos = {cl: i for i, cl in enumerate(clusters)}
-    root = tuple(sorted(root_cluster(model)))
-    B0 = root_matrix(model)
-    order0 = root_cluster(model)
-    perm = [order0.index(a) for a in root]
-    rows = [[B0[perm[i], perm[j]] for j in range(len(perm))] for i in range(len(perm))]
-
-    adj: dict[int, list[int]] = {}
+    adj: dict[tuple[ModelArc, ...], list[tuple[ModelArc, ...]]] = {}
     for i, j in edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
+        adj.setdefault(clusters[i], []).append(clusters[j])
+        adj.setdefault(clusters[j], []).append(clusters[i])
 
-    labeled: dict[int, tuple[tuple[ModelArc, ...], ExchangeMatrix]] = {}
-    start = pos[root]
-    labeled[start] = (root, ExchangeMatrix.from_rows(rows))
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        ci = queue[qi]
-        qi += 1
-        arcs_i, Bi = labeled[ci]
-        set_i = set(arcs_i)
-        for cj in adj.get(ci, ()):
-            arcs_j = clusters[cj]
-            leaving = set_i - set(arcs_j)
-            entering = set(arcs_j) - set_i
-            (old,) = leaving
-            (new,) = entering
-            k = arcs_i.index(old)
-            Bj = mutate(Bi, k)
-            order_j = tuple(new if a == old else a for a in arcs_i)
-            if cj in labeled:
-                prev_order, prev_B = labeled[cj]
-                rp = [order_j.index(a) for a in prev_order]
-                rerows = [[Bj[rp[i], rp[j]] for j in range(len(rp))] for i in range(len(rp))]
-                if tuple(tuple(r) for r in rerows) != prev_B.rows:
-                    raise AssertionError("flip-graph matrix propagation is path-dependent")
-            else:
-                labeled[cj] = (order_j, Bj)
-                queue.append(cj)
-    if len(labeled) != len(clusters):
+    def moves(node):
+        order, B = node
+        for cl in adj.get(tuple(sorted(order)), ()):
+            (old,) = set(order).difference(cl)
+            (new,) = set(cl).difference(order)
+            yield tuple(new if a == old else a for a in order), mutate(B, order.index(old))
+
+    def key(node):
+        # the cluster with its matrix in sorted arc order, so a path that
+        # reaches a cluster with another matrix makes a second key for it
+        order, B = node
+        perm = sorted(range(len(order)), key=order.__getitem__)
+        return tuple(sorted(order)), tuple(tuple(B.rows[i][j] for j in perm) for i in perm)
+
+    root = (root_cluster(model), root_matrix(model))
+    nodes, keys, _, complete = explore(root, moves, key, len(clusters))
+    if not complete or len({cl for cl, _ in keys}) < len(nodes):
+        raise AssertionError("flip-graph matrix propagation is path-dependent")
+    if len(nodes) < len(clusters):
         raise AssertionError("flip graph is not connected")
-    return {clusters[ci]: labeled[ci] for ci in labeled}
+    return {cl: node for (cl, _), node in zip(keys, nodes)}

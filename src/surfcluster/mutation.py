@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ._explore import explore
 
@@ -32,6 +33,9 @@ class BadSpec(ValueError):
 ENTRY_CEILING = 10 ** 9
 # canonical_form refuses matrices larger than this.
 CANONICAL_MAX_N = 64
+# quiver_from_json refuses more vertices than this, before the n x n matrix
+# is allocated.
+QUIVER_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,14 @@ def quiver_to_json(B: ExchangeMatrix) -> dict:
 
 
 def quiver_from_json(data: dict) -> ExchangeMatrix:
-    """Read outside JSON: an integer n and integer edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""
+    """Read outside JSON: an integer n, 0 <= n <= QUIVER_MAX_N, and integer
+    edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""
     _require_fields(data, ("n", "edges"), 'a quiver {"n": integer, "edges": [[i, j] or [i, j, w], ...]}')
     n, edges = data["n"], data["edges"]
     if type(n) is not int or n < 0 or type(edges) is not list:
         raise ValueError("a quiver needs an integer n >= 0 and a list of edges")
+    if n > QUIVER_MAX_N:
+        raise ValueError(f"a quiver has at most {QUIVER_MAX_N} vertices, got n = {n}")
     for edge in edges:
         if not (_is_int_list(edge) and len(edge) in (2, 3) and 0 <= edge[0] < n and 0 <= edge[1] < n):
             raise ValueError(f"quiver edge must be [i, j] or [i, j, w] of integers with 0 <= i, j < {n}, "
@@ -206,22 +213,18 @@ def corank(B: ExchangeMatrix) -> int:
 
 
 def is_acyclic(B: ExchangeMatrix) -> bool:
-    """True iff the quiver of B has no directed cycle."""
-    n = B.n
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-
-    def dfs(v):
-        state[v] = 1
-        for w in range(n):
-            if B[v, w] > 0:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0 and not dfs(w):
-                    return False
-        state[v] = 2
-        return True
-
-    return all(state[v] == 2 or dfs(v) for v in range(n))
+    """True iff the quiver of B has no directed cycle: removing sources one
+    at a time empties it."""
+    indegree = [sum(x < 0 for x in row) for row in B.rows]
+    left = set(range(B.n))
+    while left:
+        v = next((v for v in left if not indegree[v]), None)
+        if v is None:
+            return False
+        left.remove(v)
+        for w, x in enumerate(B.rows[v]):
+            indegree[w] -= x > 0
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -364,22 +367,20 @@ def _path(n: int) -> ExchangeMatrix:
 
 
 def _bipartition(B: ExchangeMatrix) -> list[int]:
+    """Side +-1 of each vertex; each component's least vertex is on side 1."""
     n = B.n
+
+    def moves(node):  # a neighbour takes the other side
+        v, c = node
+        return ((w, -c) for w in range(n) if B[v, w])
+
     color = [None] * n
     for s in range(n):
-        if color[s] is not None:
-            continue
-        color[s] = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                if B[v, w] != 0:
-                    if color[w] is None:
-                        color[w] = -color[v]
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        raise BadSpec("diagram is not bipartite")
+        if color[s] is None:
+            for v, c in explore((s, 1), moves, itemgetter(0), n)[0]:
+                color[v] = c
+    if any(B[v, w] and color[v] == color[w] for v in range(n) for w in range(n)):
+        raise BadSpec("diagram is not bipartite")
     return color
 
 

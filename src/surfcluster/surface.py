@@ -78,6 +78,18 @@ class MarkedSurface:
         return validate_surface(genus=genus, boundary=boundary, punctures=punctures)
 
 
+# the excluded surfaces, all of genus 0, keyed by (boundary counts, punctures)
+_EXCLUDED = {
+    ((), 1): "once-punctured sphere",
+    ((), 2): "twice-punctured sphere",
+    ((), 3): "thrice-punctured sphere",
+    ((1,), 0): "unpunctured monogon",
+    ((2,), 0): "unpunctured digon",
+    ((3,), 0): "unpunctured triangle",
+    ((1,), 1): "once-punctured monogon",
+}
+
+
 def validate_surface(genus: int = 0, boundary=(), punctures: int = 0) -> MarkedSurface:
     """Validate a raw descriptor, naming the violated exclusion on rejection."""
     g = int(genus)
@@ -90,24 +102,8 @@ def validate_surface(genus: int = 0, boundary=(), punctures: int = 0) -> MarkedS
     c = sum(cs)
     if c + p == 0:
         raise EmptyMarking("the set of marked points is empty")
-    b = len(cs)
-    if g == 0 and b == 0:
-        if p == 1:
-            raise ExcludedSurface("once-punctured sphere")
-        if p == 2:
-            raise ExcludedSurface("twice-punctured sphere")
-        if p == 3:
-            raise ExcludedSurface("thrice-punctured sphere")
-    if g == 0 and b == 1:
-        if p == 0:
-            if c == 1:
-                raise ExcludedSurface("unpunctured monogon")
-            if c == 2:
-                raise ExcludedSurface("unpunctured digon")
-            if c == 3:
-                raise ExcludedSurface("unpunctured triangle")
-        if p == 1 and c == 1:
-            raise ExcludedSurface("once-punctured monogon")
+    if g == 0 and (cs, p) in _EXCLUDED:
+        raise ExcludedSurface(_EXCLUDED[cs, p])
     return MarkedSurface(genus=g, boundary=tuple(sorted(cs, reverse=True)), punctures=p)
 
 

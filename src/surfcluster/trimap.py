@@ -18,10 +18,12 @@ slot.
 A triangulation is its surface and its triangles: the surface fixes the
 arc count (its rank), the boundary segment count and the vertex count (its
 marked points). The validator enforces id ranges, triangle shape, slot
-counts, opposite traversal, the Euler count and the link rule, and reads the
-punctures off the link walk (the vertices whose orbit is a cycle); every
-constructor and flip runs it. `from_json` also checks what outside JSON
-states against the gluing: the counts, the puncture list and the surface.
+counts, opposite traversal and the link rule, and reads the punctures off
+the link walk (the vertices whose orbit is a cycle); every constructor and
+flip runs it. The Euler count needs no check of its own: with 3F = 2n + c
+slots, the rank and the vertex count give V - E + F = 2 - 2g - b.
+`from_json` also checks what outside JSON states against the gluing: the
+counts, the puncture list and the surface.
 
 Builders (`initial_triangulation`, `blocks.surface_from_decomposition`)
 produce side lists only; `_from_sides` reads the vertices, punctures and
@@ -78,7 +80,12 @@ class Triangle:
 
 
 class IdealTriangulation:
-    """Immutable triangulated marked surface; flips return new values."""
+    """Immutable triangulated marked surface; flips return new values.
+
+    The constructor does not compare the gluing's boundary components with
+    the surface's: the `(0,[3,1],0)` annulus triangles stated as
+    `(0,[2,2],0)` are accepted. Only `from_json` checks that.
+    """
 
     def __init__(self, surface: MarkedSurface, triangles):
         self.surface = surface
@@ -132,9 +139,8 @@ class IdealTriangulation:
 
     def validate(self):
         """Check the map against its surface and set `puncture_flags`."""
-        s = self.surface
         n, c = self.num_arcs, self.num_boundary
-        V = c + s.punctures
+        V = c + self.surface.punctures
         for tri in self.triangles:
             if len(tri.vertices) != 3 or len(tri.edges) != 3:
                 raise InvalidTriangulation(f"triangle {tri} needs three vertices and three edges")
@@ -153,11 +159,6 @@ class IdealTriangulation:
             if bad:
                 raise InvalidTriangulation(f"vertex id {min(bad)} out of range")
             raise InvalidTriangulation(f"vertex {min(set(range(V)) - used)} has no corners")
-        # implied by the rank, vertex and slot counts (3F = 2n + c), so no
-        # map fails it; kept as the statement of what the counts amount to
-        chi = V - (n + c) + len(self.triangles)
-        if chi != 2 - 2 * s.genus - s.num_boundary:
-            raise InvalidTriangulation(f"Euler characteristic {chi} != {2 - 2 * s.genus - s.num_boundary}")
 
         # Link rule: one orbit walk per vertex. The c paths (one per boundary
         # slot) go first; once each sits at its own boundary vertex, all

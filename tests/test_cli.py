@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from surfcluster import blocks, cli
+from surfcluster import blocks, cli, mutation
 
 
 def run(argv):
@@ -86,6 +86,30 @@ def test_malformed_matrix_exits_2(matrix, capsys):
         code, out = run([command, "--matrix", matrix])
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("n", [2 ** 70, 100000])
+@pytest.mark.parametrize("argv", [
+    ["corank", "--matrix"],
+    ["recognize-type", "--matrix"],
+    ["mutation-class", "--matrix"],
+    ["cluster-vars", "--matrix"],
+    ["denominators", "--path", "0", "--matrix"],
+    ["is-surface-matrix"],
+], ids=lambda argv: argv[0])
+def test_huge_quiver_exits_2(argv, n, capsys):
+    # refused before the n x n matrix is allocated
+    code, out = run(argv + [json.dumps({"n": n, "edges": []})])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and str(mutation.QUIVER_MAX_N) in err, err
+
+
+def test_huge_rows_matrix_exits_2(capsys):
+    # the rows form states its n only as a check of len(rows)
+    code, out = run(["corank", "--matrix", json.dumps({"n": 2 ** 70, "rows": []})])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "invalid input: declared dimension does not match rows\n"
 
 
 @pytest.mark.parametrize("descriptor", [

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from surfcluster import finite_models as fm
@@ -182,6 +185,38 @@ def test_root_cluster_is_a_cluster():
         clusters, _ = fm.enumerate_clusters(model)
         root = tuple(sorted(fm.root_cluster(model)))
         assert root in clusters
+
+
+def test_exchange_matrices_pinned():
+    # every cluster's arc order and matrix, in propagation order; the root
+    # cluster is already sorted, so its order is the root matrix's
+    models = [fm.Model("polygon", m) for m in range(4, 10)] + [fm.Model("punctured", m) for m in range(3, 7)]
+    out = []
+    for model in models:
+        root = fm.root_cluster(model)
+        assert root == tuple(sorted(root))
+        labeled = fm.exchange_matrices(model)
+        assert next(iter(labeled.items())) == (root, (root, fm.root_matrix(model)))
+        out.append([[[str(a) for a in cl], [str(a) for a in order], [list(r) for r in B.rows]]
+                    for cl, (order, B) in labeled.items()])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "5b88d255989dd4f8168bfd02d89be83a7acfe86bd4cfd6746f0baf6dd83d6698"
+
+
+def test_exchange_matrices_asserts(monkeypatch):
+    clusters, edges = fm.enumerate_clusters(P5)
+    with pytest.raises(AssertionError, match="flip graph is not connected"):
+        fm.exchange_matrices(P5, clusters, edges[:1])
+    mutate, calls = fm.mutate, []
+
+    def flaky_mutate(B, k):  # negates every second result
+        calls.append(k)
+        M = mutate(B, k)
+        return M if len(calls) % 2 else fm.ExchangeMatrix.from_rows([[-x for x in row] for row in M.rows])
+
+    monkeypatch.setattr(fm, "mutate", flaky_mutate)
+    with pytest.raises(AssertionError, match="path-dependent"):
+        fm.exchange_matrices(P5, clusters, edges)
 
 
 def test_arc_json_roundtrip():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -193,11 +195,30 @@ def test_grid_33_is_oriented_4_cycle():
     assert outdeg == [1, 1, 1, 1] and indeg == [1, 1, 1, 1]
 
 
+def test_grid_rows_pinned():
+    grid = [[list(r) for r in mu.make_quiver("Grid", k, l).rows] for k in range(2, 6) for l in range(2, 6)]
+    assert grid[5] == [[0, -1, 1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, 1, -1, 0]]  # Grid(3,3)
+    digest = hashlib.sha256(json.dumps(grid).encode()).hexdigest()
+    assert digest == "66d7e39c6be70746f4a3b5016eb4379219e1e546dac65cc518afdf8345e23165"
+
+
+def test_quiver_product_rejects_an_odd_cycle():
+    triangle = mu.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(mu.BadSpec, match="diagram is not bipartite"):
+        mu.quiver_product(triangle, mu.make_quiver("A", 2))
+
+
 def test_is_acyclic():
     assert mu.is_acyclic(mu.make_quiver("A", 3))
     assert not mu.is_acyclic(mu.from_edges(3, [(0, 1), (1, 2), (2, 0)]))
     torus = mu.ExchangeMatrix.from_rows([[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     assert not mu.is_acyclic(torus)
+
+
+def test_is_acyclic_on_long_quivers():
+    n = 3000
+    assert mu.is_acyclic(mu.make_quiver("A", n))
+    assert not mu.is_acyclic(mu.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
 
 
 def test_recognize_type_basics():
