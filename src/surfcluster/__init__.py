@@ -25,7 +25,6 @@ from .mutation import (
 )
 from .trimap import (
     IdealTriangulation,
-    Triangle,
     initial_triangulation,
     is_flippable,
     flip,

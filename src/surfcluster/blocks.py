@@ -136,6 +136,10 @@ class BudgetExhausted(RuntimeError):
     """The block search made more calls than its budget allows: undecided."""
 
 
+# the most `_Search._search` calls one block search may make
+SEARCH_BUDGET = 2_000_000
+
+
 # Twin locals: swapping each pair maps the block's edges and outlets onto
 # themselves (the pairs never share an edge). A placement and its swapped copy
 # leave the same residuals, loads and roles on the same vertex set, so the
@@ -386,10 +390,10 @@ class _Search:
 
         return min(demands, key=score)
 
-    def _search(self, budget):
+    def _search(self):
         self.calls += 1
-        if self.calls > budget:
-            raise BudgetExhausted(f"block search budget of {budget} calls exhausted")
+        if self.calls > SEARCH_BUDGET:
+            raise BudgetExhausted(f"block search budget of {SEARCH_BUDGET} calls exhausted")
         if not self.positive:
             return self._close_up()
         if not self._degree_feasible():
@@ -401,7 +405,7 @@ class _Search:
         for _, kind, vertices in self.placements_covering(u, v):
             pl = BlockPlacement(kind, vertices)
             self.place(pl)
-            found = self._search(budget)
+            found = self._search()
             if found is not None:
                 return found
             self.unplace(pl)
@@ -428,16 +432,16 @@ class _Search:
         return BlockDecomposition(self.n, placements, bare)
 
 
-def decompose(B: ExchangeMatrix, budget: int = 2_000_000) -> BlockDecomposition | None:
+def decompose(B: ExchangeMatrix) -> BlockDecomposition | None:
     """Find a block decomposition witnessing B = B(T), or None.
 
     Entries outside {0, +-1, +-2} fail immediately. The witness, when it
     exists, assembles (after cancelling opposite pairs) to exactly B. A search
-    that makes more than `budget` calls raises BudgetExhausted: undecided.
+    that makes more than `SEARCH_BUDGET` calls raises BudgetExhausted: undecided.
     """
     if not B.entries_bounded_by(2):
         return None
-    d = _Search(B)._search(budget)
+    d = _Search(B)._search()
     if d is None:
         return None
     validate_decomposition(d)

@@ -235,7 +235,10 @@ def enumerate_clusters(model: Model):
     """All maximal compatible sets (each of size rank) plus the flip graph.
 
     Returns (clusters, edges): clusters is a sorted tuple of sorted
-    arc-tuples, edges joins clusters sharing all but one arc.
+    arc-tuples, edges joins clusters sharing all but one arc. Each arc of a
+    cluster flips in exactly one way, so each rank - 1 subset of a cluster
+    (a facet) lies in exactly two clusters, which is asserted; the edges are
+    read off the facets.
     """
     arcs = enumerate_tagged_arcs(model)
     n = model.rank
@@ -263,13 +266,13 @@ def enumerate_clusters(model: Model):
                 raise AssertionError("compatible set larger than the rank")
 
     clusters = tuple(sorted(clusters))
-    edges = set()
+    facets: dict[tuple[ModelArc, ...], list[int]] = {}
     for ci, cl in enumerate(clusters):
-        base = set(cl)
-        for cj in range(ci + 1, len(clusters)):
-            if len(base & set(clusters[cj])) == n - 1:
-                edges.add((ci, cj))
-    return clusters, tuple(sorted(edges))
+        for i in range(n):
+            facets.setdefault(cl[:i] + cl[i + 1:], []).append(ci)
+    if any(len(pair) != 2 for pair in facets.values()):
+        raise AssertionError("a facet does not lie in exactly two clusters")
+    return clusters, tuple(sorted(tuple(pair) for pair in facets.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from operator import itemgetter
 from . import trimap
 from ._explore import explore
 from .mutation import ExchangeMatrix
-from .trimap import IdealTriangulation, Triangle, _flipped_triangles, signed_adjacency
+from .trimap import IdealTriangulation, _flip_table, _folds, signed_adjacency
 
 
 class ArcNotPresent(ValueError):
@@ -87,36 +87,31 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
     its plain radius, else PLAIN (only the plain radius or both radii
     remain). Fold and loop labels are swapped wherever that sign is NOTCHED,
     to restore the convention. Both relabelings are applied to the flipped
-    triangle list before it is validated, once.
+    slot table in one pass before it is validated, once.
     """
     base = T.base
     if not base.is_arc(k):
         raise ArcNotPresent(f"{k} is not an arc of this tagged triangulation")
     signs = {v: s or PLAIN for v, s in T.signatures}
     flip_edge = k
-    slots = base.arc_slots(k)
-    (t1, _), (t2, _) = slots
-    if t1 == t2:  # k is the plain radius of a self-folded triangle
-        tri = base.triangles[t1]
-        _, flip_edge, corner = tri.fold_data()
-        signs[tri.vertices[corner]] = NOTCHED
-        slots = None  # the loop's slots, which _flipped_triangles finds
+    a = base.edges.index(k)
+    p = a - a % 3
+    if base.edges.index(k, a + 1) < p + 3:  # k is the plain radius of a self-folded triangle
+        _, flip_edge, corner = next(_folds(base.edges[p:p + 3]))
+        signs[base.verts[p + corner]] = NOTCHED
 
-    tris = _flipped_triangles(base, flip_edge, slots)
+    edges, verts = _flip_table(base.edges, base.verts, flip_edge)
     # the new diagonal must carry k; the surviving old fold becomes the loop's label
     perm = {flip_edge: k, k: flip_edge} if flip_edge != k else {}
     enclosed = set()
-    for tri in tris:
-        fd = tri.fold_data()
-        if fd is not None:
-            fold, loop, corner = fd
-            v = tri.vertices[corner]
-            enclosed.add(v)
-            if signs[v] == NOTCHED:  # fold and loop trade their final labels
-                perm[fold], perm[loop] = perm.get(loop, loop), perm.get(fold, fold)
+    for fold, loop, corner in _folds(edges):
+        v = verts[corner]
+        enclosed.add(v)
+        if signs[v] == NOTCHED:  # fold and loop trade their final labels
+            perm[fold], perm[loop] = perm.get(loop, loop), perm.get(fold, fold)
     if perm:
-        tris = [Triangle(t.vertices, tuple(perm.get(e, e) for e in t.edges)) for t in tris]
-    M2 = IdealTriangulation(base.surface, tris)
+        edges = [perm.get(e, e) for e in edges]
+    M2 = IdealTriangulation(base.surface, edges, verts)
     sig2 = tuple(sorted((v, 0 if v in enclosed else signs[v]) for v in signs))
     return TaggedTriangulation(M2, sig2)
 

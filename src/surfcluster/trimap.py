@@ -1,29 +1,29 @@
 """Ideal triangulations as oriented combinatorial maps.
 
-A triangulation is a list of triangles, each carrying its three corner
-vertices and three side edges in counterclockwise cyclic order: side i runs
-from corner i to corner i+1. Edge ids 0..n-1 are arcs (each in exactly two
-side slots, traversed in opposite directions), ids n..n+c-1 are boundary
+A triangulation is its surface and its slot table. Slot 3t + i is side i of
+triangle t and also its corner i, where that side starts: `edges[s]` is the
+side's edge and `verts[s]` the corner's vertex, counterclockwise, so side i
+runs from corner i to corner i+1. Edge ids 0..n-1 are arcs (each in exactly
+two slots, traversed in opposite directions), ids n..n+c-1 are boundary
 segments (one slot each). Self-folded triangles put the same arc in two of
 their own slots.
 
-Slots are numbered flat: slot 3t + i is side i of triangle t, and also its
-corner i, where that side starts. From corner s, crossing side s into the
-arc's other slot p and taking the slot after p (side (i' + 1) mod 3 of the
-same triangle) turns about the same vertex. Link rule: the corners at each
-vertex form one orbit of this turn, a cycle at a puncture and, at a boundary
-vertex, a path from a corner entered across a boundary slot to a boundary
-slot.
+From corner s, crossing side s into the arc's other slot p and taking the
+slot after p (side (i' + 1) mod 3 of the same triangle) turns about the same
+vertex. Link rule: the corners at each vertex form one orbit of this turn, a
+cycle at a puncture and, at a boundary vertex, a path from a corner entered
+across a boundary slot to a boundary slot.
 
-A triangulation is its surface and its triangles: the surface fixes the
-arc count (its rank), the boundary segment count and the vertex count (its
-marked points). The validator enforces id ranges, triangle shape, slot
-counts, opposite traversal and the link rule, and reads the punctures off
-the link walk (the vertices whose orbit is a cycle); every constructor and
-flip runs it. The Euler count needs no check of its own: with 3F = 2n + c
-slots, the rank and the vertex count give V - E + F = 2 - 2g - b.
+The surface fixes the arc count (its rank), the boundary segment count and
+the vertex count (its marked points). The validator enforces id ranges, slot
+counts, opposite traversal and the link rule, reads the punctures off the
+link walk (the vertices whose orbit is a cycle) and compares the boundary
+components, walked segment by segment, with the surface's; every
+constructor and flip runs it. The Euler count needs no check of its own:
+with 3F = 2n + c slots, the rank and the vertex count give
+V - E + F = 2 - 2g - b, so with b checked the genus is the surface's.
 `from_json` also checks what outside JSON states against the gluing: the
-counts, the puncture list and the surface.
+counts and the puncture list.
 
 Builders (`initial_triangulation`, `blocks.surface_from_decomposition`)
 produce side lists only; `_from_sides` reads the vertices, punctures and
@@ -31,8 +31,6 @@ surface off the gluing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ._explore import UnionFind, explore
 from .mutation import ExchangeMatrix, _is_int_list, _require_fields
@@ -51,46 +49,14 @@ class InvalidTriangulation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Triangle:
-    vertices: tuple[int, int, int]
-    edges: tuple[int, int, int]
-
-    @property
-    def self_folded(self) -> bool:
-        e = self.edges
-        return e[0] == e[1] or e[1] == e[2] or e[0] == e[2]
-
-    def fold_data(self):
-        """(fold edge, enclosing edge, enclosed corner index) or None."""
-        e = self.edges
-        for i in range(3):
-            if e[i] == e[(i + 1) % 3]:
-                return e[i], e[(i + 2) % 3], (i + 1) % 3
-        return None
-
-    def rotated(self, r: int) -> "Triangle":
-        return Triangle(
-            tuple(self.vertices[(r + i) % 3] for i in range(3)),
-            tuple(self.edges[(r + i) % 3] for i in range(3)),
-        )
-
-    def normalized(self) -> "Triangle":
-        return min((self.rotated(r) for r in range(3)), key=lambda t: (t.edges, t.vertices))
-
-
 class IdealTriangulation:
-    """Immutable triangulated marked surface; flips return new values.
+    """Immutable triangulated marked surface stored as its slot table;
+    flips return new values."""
 
-    The constructor does not compare the gluing's boundary components with
-    the surface's: the `(0,[3,1],0)` annulus triangles stated as
-    `(0,[2,2],0)` are accepted. Only `from_json` checks that.
-    """
-
-    def __init__(self, surface: MarkedSurface, triangles):
+    def __init__(self, surface: MarkedSurface, edges, verts):
         self.surface = surface
-        self.triangles = tuple(t if isinstance(t, Triangle) else Triangle(tuple(t[0]), tuple(t[1]))
-                               for t in triangles)
+        self.edges = tuple(edges)
+        self.verts = tuple(verts)
         self.num_arcs = surface.rank
         self.num_boundary = surface.boundary_points
         self._normal = None
@@ -107,33 +73,13 @@ class IdealTriangulation:
     def punctures(self):
         return [v for v, f in enumerate(self.puncture_flags) if f]
 
-    def arc_slots(self, e: int) -> list[tuple[int, int]]:
-        out = []
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                if tri.edges[i] == e:
-                    out.append((t, i))
-        return out
-
     def fold_map(self) -> dict[int, int]:
         """fold arc -> enclosing loop, for every self-folded triangle."""
-        out = {}
-        for tri in self.triangles:
-            fd = tri.fold_data()
-            if fd is not None:
-                fold, loop, _ = fd
-                out[fold] = loop
-        return out
+        return {fold: loop for fold, loop, _ in _folds(self.edges)}
 
     def enclosed_punctures(self) -> dict[int, tuple[int, int]]:
         """puncture vertex -> (fold arc, loop edge) for self-folded triangles."""
-        out = {}
-        for tri in self.triangles:
-            fd = tri.fold_data()
-            if fd is not None:
-                fold, loop, corner = fd
-                out[tri.vertices[corner]] = (fold, loop)
-        return out
+        return {self.verts[s]: (fold, loop) for fold, loop, s in _folds(self.edges)}
 
     # -- validation --------------------------------------------------------
 
@@ -141,11 +87,9 @@ class IdealTriangulation:
         """Check the map against its surface and set `puncture_flags`."""
         n, c = self.num_arcs, self.num_boundary
         V = c + self.surface.punctures
-        for tri in self.triangles:
-            if len(tri.vertices) != 3 or len(tri.edges) != 3:
-                raise InvalidTriangulation(f"triangle {tri} needs three vertices and three edges")
-
-        edges, verts, partner = _slots(self.triangles, n)
+        edges, verts = self.edges, self.verts
+        if len(verts) != len(edges):
+            raise InvalidTriangulation(f"{len(edges)} edge slots but {len(verts)} vertex slots")
         if sorted(edges) != sorted([*range(n), *range(n + c)]):  # arcs twice, segments once
             for e in edges:
                 if not 0 <= e < n + c:
@@ -166,6 +110,7 @@ class IdealTriangulation:
         # vertex is a second orbit there. A step that leaves its vertex
         # crossed an arc not traversed in opposite directions. The p cycles
         # left over are the punctures.
+        partner = _partners(edges, n)
         flags = [None] * V  # True for a cycle, False for a path
         done = [False] * len(verts)
         starts = [b + 1 if b % 3 < 2 else b - 2 for b, p in enumerate(partner) if p < 0]
@@ -188,15 +133,22 @@ class IdealTriangulation:
                     raise InvalidTriangulation(f"arc {edges[p]} is not traversed in opposite directions")
                 if cur == c0:  # the end of a cycle
                     break
+        boundary, s = _boundary(edges, verts, n), self.surface
+        if boundary != s.boundary:
+            glued = MarkedSurface(s.genus + (s.num_boundary - len(boundary)) // 2, boundary, s.punctures)
+            raise InvalidTriangulation(f"the gluing is {glued}, not {s}")
         self.puncture_flags = tuple(flags)
 
     # -- equality up to representation ------------------------------------
 
     def normal_form(self):
+        """(surface, triangles): each triangle's (edges, vertices) at its least
+        rotation, the triangles sorted."""
         if self._normal is None:
-            tris = sorted((t.normalized() for t in self.triangles),
-                          key=lambda t: (t.edges, t.vertices))
-            self._normal = (self.surface, tuple((t.edges, t.vertices) for t in tris))
+            E, V = self.edges, self.verts
+            tris = sorted(min((E[p + r:p + 3] + E[p:p + r], V[p + r:p + 3] + V[p:p + r]) for r in range(3))
+                          for p in range(0, len(E), 3))
+            self._normal = (self.surface, tuple(tris))
         return self._normal
 
     def __eq__(self, other):
@@ -207,16 +159,17 @@ class IdealTriangulation:
 
     def relabel_arcs(self, perm: dict[int, int]) -> "IdealTriangulation":
         """New triangulation with arc e renamed perm.get(e, e)."""
-        tris = [Triangle(t.vertices, tuple(perm.get(e, e) if self.is_arc(e) else e for e in t.edges))
-                for t in self.triangles]
-        return IdealTriangulation(self.surface, tris)
+        n = self.num_arcs
+        return IdealTriangulation(self.surface, [perm.get(e, e) if e < n else e for e in self.edges],
+                                  self.verts)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
+        E, V = self.edges, self.verts
         return {
             "surface": self.surface.to_json(),
-            "triangles": [{"v": list(t.vertices), "e": list(t.edges)} for t in self.triangles],
+            "triangles": [{"v": list(V[p:p + 3]), "e": list(E[p:p + 3])} for p in range(0, len(E), 3)],
             "arcs": self.num_arcs,
             "boundary_segments": self.num_boundary,
             "punctures": self.punctures(),
@@ -226,8 +179,8 @@ class IdealTriangulation:
     def from_json(data: dict) -> "IdealTriangulation":
         """Read outside JSON: a non-empty triangle list, integer ids and counts.
 
-        The counts, the puncture list (none when absent) and the surface must
-        be those of the gluing."""
+        The counts and the puncture list (none when absent) must be those of
+        the gluing, and the constructor checks the gluing against the surface."""
         shape = ('{"surface": {...}, "triangles": [{"v": [integers], "e": [integers]}, ...], '
                  '"arcs": integer, "boundary_segments": integer} with an optional "punctures": [integers]')
         _require_fields(data, ("surface", "triangles", "arcs", "boundary_segments"), shape)
@@ -245,12 +198,12 @@ class IdealTriangulation:
             raise InvalidTriangulation(f"{n} arcs but surface rank is {surf.rank}")
         if c != surf.boundary_points:
             raise InvalidTriangulation("boundary segment count must equal marked boundary points")
-        T = IdealTriangulation(surf, [Triangle(tuple(t["v"]), tuple(t["e"])) for t in raw])
+        for t in raw:
+            if len(t["v"]) != 3 or len(t["e"]) != 3:
+                raise InvalidTriangulation(f"triangle {t} needs three vertices and three edges")
+        T = IdealTriangulation(surf, [e for t in raw for e in t["e"]], [v for t in raw for v in t["v"]])
         if punctures != T.punctures():
             raise InvalidTriangulation(f"puncture list {punctures} is not the gluing's {T.punctures()}")
-        glued = _from_sides([t.edges for t in T.triangles], n).surface
-        if glued != surf:
-            raise InvalidTriangulation(f"the gluing is {glued}, not {surf}")
         return T
 
 
@@ -263,7 +216,7 @@ class _Builder:
     relabeled canonically on finish and the rest is read off the gluing."""
 
     def __init__(self):
-        self.triangles: list[list[int]] = []
+        self.sides: list[list[int]] = []
         self.boundary_component: dict[int, int] = {}
         self._next_edge = 0
 
@@ -277,28 +230,28 @@ class _Builder:
 
     def subdivide(self, t: int):
         """Insert a puncture inside triangle t (one triangle -> three)."""
-        e0, e1, e2 = self.triangles[t]
+        e0, e1, e2 = self.sides[t]
         ru, rv, rw = self.new_edge(), self.new_edge(), self.new_edge()
-        self.triangles[t] = [e0, rv, ru]
-        self.triangles += [[e1, rw, rv], [e2, ru, rw]]
+        self.sides[t] = [e0, rv, ru]
+        self.sides += [[e1, rw, rv], [e2, ru, rw]]
 
     def split_boundary(self, component: int):
         """Add one marked point on the given boundary component."""
-        t, i = next((t, i) for t, edges in enumerate(self.triangles)
+        t, i = next((t, i) for t, edges in enumerate(self.sides)
                     for i, e in enumerate(edges) if self.boundary_component.get(e) == component)
-        edges = self.triangles[t]
+        edges = self.sides[t]
         f, g = edges[(i + 1) % 3], edges[(i + 2) % 3]
         s1, s2, d = self.new_edge(component), self.new_edge(component), self.new_edge()
-        self.triangles[t] = [s1, d, g]
-        self.triangles.append([s2, f, d])
+        self.sides[t] = [s1, d, g]
+        self.sides.append([s2, f, d])
 
     def finish(self) -> IdealTriangulation:
         """Arcs, then boundary segments, numbered by first appearance."""
-        order = sorted(dict.fromkeys(e for edges in self.triangles for e in edges),
+        order = sorted(dict.fromkeys(e for edges in self.sides for e in edges),
                        key=lambda e: e in self.boundary_component)  # stable: arcs first
         emap = {e: i for i, e in enumerate(order)}
         n = sum(e not in self.boundary_component for e in order)
-        return _from_sides([[emap[e] for e in edges] for edges in self.triangles], n)
+        return _from_sides([[emap[e] for e in edges] for edges in self.sides], n)
 
 
 def _from_sides(sides, n: int) -> IdealTriangulation:
@@ -314,33 +267,40 @@ def _from_sides(sides, n: int) -> IdealTriangulation:
     c = len(edges) - 2 * n
     if sorted(edges) != sorted([*range(n), *range(n + c)]):
         raise InvalidTriangulation("each arc must fill two slots and each boundary segment one")
-    partner = _partners(edges, n)
     corners = UnionFind()
-    for s, p in enumerate(partner):
+    for s, p in enumerate(_partners(edges, n)):
         if p >= 0:
             corners.union(s, p + 1 if p % 3 < 2 else p - 2)
     vid: dict[int, int] = {}
     verts = [vid.setdefault(corners.find(s), len(vid)) for s in range(len(edges))]
+    boundary = _boundary(edges, verts, n)
+    genus2 = 2 - len(boundary) - (len(vid) - (n + c) + len(sides))
+    if genus2 % 2:
+        raise InvalidTriangulation("the gluing has an odd Euler count")
+    surface = validate_surface(genus2 // 2, boundary, len(vid) - sum(boundary))
+    return IdealTriangulation(surface, edges, verts)
+
+
+def _boundary(edges, verts, n: int) -> tuple[int, ...]:
+    """Segment counts of the boundary components, largest first.
+
+    Segment slot s runs from verts[s] to the corner of the next slot in its
+    triangle; the segments join end to start."""
     ends = {verts[s]: verts[s + 1 if s % 3 < 2 else s - 2] for s, e in enumerate(edges) if e >= n}
-    punctures, boundary = len(vid) - len(ends), []
+    sizes = []
     while ends:
         v, k = next(iter(ends)), 0
         while v in ends:
             v, k = ends.pop(v), k + 1
-        boundary.append(k)
-    genus2 = 2 - len(boundary) - (len(vid) - (n + c) + len(sides))
-    if genus2 % 2:
-        raise InvalidTriangulation("the gluing has an odd Euler count")
-    surface = validate_surface(genus2 // 2, boundary, punctures)
-    tris = [Triangle(tuple(verts[3 * t:3 * t + 3]), tuple(tri)) for t, tri in enumerate(sides)]
-    return IdealTriangulation(surface, tris)
+        sizes.append(k)
+    return tuple(sorted(sizes, reverse=True))
 
 
 def _wheel(bld: _Builder, c: int):
     """Once-punctured c-gon: all boundary vertices joined to the puncture."""
     sides = [bld.new_edge(0) for _ in range(c)]
     radii = [bld.new_edge() for _ in range(c)]
-    bld.triangles += [[sides[i], radii[(i + 1) % c], radii[i]] for i in range(c)]
+    bld.sides += [[sides[i], radii[(i + 1) % c], radii[i]] for i in range(c)]
 
 
 def _glued_polygon(bld: _Builder, word: list[tuple[str, object]]):
@@ -368,7 +328,7 @@ def _glued_polygon(bld: _Builder, word: list[tuple[str, object]]):
     # spoke[j] joins corner 0 to corner j + 1: the first side, the fan's
     # diagonals, then the last side
     spoke = [side_edge[0]] + [bld.new_edge() for _ in range(2, K - 1)] + [side_edge[K - 1]]
-    bld.triangles += [[spoke[i - 1], side_edge[i], spoke[i]] for i in range(1, K - 1)]
+    bld.sides += [[spoke[i - 1], side_edge[i], spoke[i]] for i in range(1, K - 1)]
 
 
 def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
@@ -392,7 +352,7 @@ def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
             return eid[(min(x, y), max(x, y))]
 
         faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
-        bld.triangles = [[E(x, y), E(y, z), E(z, x)] for x, y, z in faces]
+        bld.sides = [[E(x, y), E(y, z), E(z, x)] for x, y, z in faces]
         template_punctures = 4
     elif g == 0 and b == 1 and s.punctures:
         _wheel(bld, cs[0])
@@ -416,18 +376,18 @@ def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
 
     for _ in range(s.punctures - template_punctures):
         target = None
-        for t, edges in enumerate(bld.triangles):
+        for t, edges in enumerate(bld.sides):
             if len(set(edges)) < 3:  # clear self-folded intermediates first
                 target = t
                 break
         if target is None:
-            target = len(bld.triangles) - 1
+            target = len(bld.sides) - 1
         bld.subdivide(target)
 
     tri = bld.finish()
     if tri.surface != s:
         raise InvalidTriangulation(f"template built {tri.surface}, not {s}")
-    if any(t.self_folded for t in tri.triangles):
+    if tri.fold_map():
         raise InvalidTriangulation("initial triangulation must avoid self-folded triangles")
     return tri
 
@@ -440,8 +400,8 @@ def is_flippable(T: IdealTriangulation, k: int) -> bool:
     """False exactly when k is the fold of a self-folded triangle."""
     if not T.is_arc(k):
         raise UnknownArc(f"{k} is not an arc of this triangulation")
-    (t1, _), (t2, _) = T.arc_slots(k)
-    return t1 != t2
+    a = T.edges.index(k)
+    return a // 3 != T.edges.index(k, a + 1) // 3
 
 
 def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
@@ -451,34 +411,46 @@ def flip(T: IdealTriangulation, k: int) -> IdealTriangulation:
     newly created self-folded triangles) need no special cases. The new arc
     reuses id k.
     """
-    return IdealTriangulation(T.surface, _flipped_triangles(T, k))
+    if not T.is_arc(k):
+        raise UnknownArc(f"{k} is not an arc of this triangulation")
+    return IdealTriangulation(T.surface, *_flip_table(T.edges, T.verts, k))
 
 
-def _flipped_triangles(T: IdealTriangulation, k: int, slots=None) -> list[Triangle]:
-    """The triangle list of `flip(T, k)`, not yet validated as a triangulation.
+def _flip_table(edges, verts, k: int) -> tuple[list[int], list[int]]:
+    """Copies of the slot table with arc k flipped, not yet validated.
 
-    A caller that already holds `T.arc_slots(k)` for an arc k passes them as
-    `slots`, which saves a scan of the triangle list."""
-    if slots is None:
-        if not T.is_arc(k):
-            raise UnknownArc(f"{k} is not an arc of this triangulation")
-        slots = T.arc_slots(k)
-    (t1, i1), (t2, i2) = slots
-    if t1 == t2:
+    From k's first slot a, its triangle has corners A, B, C and sides k, x,
+    y; from its second slot b, the other has corners B, A, D and sides k, z,
+    w. They become (C, A, D) with sides (y, z, k) and (D, B, C) with sides
+    (w, x, k)."""
+    a = edges.index(k)
+    b = edges.index(k, a + 1)
+    p, q = a - a % 3, b - b % 3
+    if p == q:
         raise NotFlippable(f"arc {k} is the fold of a self-folded triangle")
-    tri1, tri2 = T.triangles[t1], T.triangles[t2]
-    A = tri1.vertices[i1]
-    Bv = tri1.vertices[(i1 + 1) % 3]
-    C = tri1.vertices[(i1 + 2) % 3]
-    D = tri2.vertices[(i2 + 2) % 3]
-    x = tri1.edges[(i1 + 1) % 3]
-    y = tri1.edges[(i1 + 2) % 3]
-    z = tri2.edges[(i2 + 1) % 3]
-    w = tri2.edges[(i2 + 2) % 3]
-    tris = list(T.triangles)
-    tris[t1] = Triangle((C, A, D), (y, z, k))
-    tris[t2] = Triangle((D, Bv, C), (w, x, k))
-    return tris
+    a1, b1 = p + (a + 1) % 3, q + (b + 1) % 3
+    a2, b2 = p + (a + 2) % 3, q + (b + 2) % 3
+    A, B, C, D = verts[a], verts[a1], verts[a2], verts[b2]
+    x, y, z, w = edges[a1], edges[a2], edges[b1], edges[b2]
+    edges, verts = list(edges), list(verts)
+    edges[p:p + 3], verts[p:p + 3] = (y, z, k), (C, A, D)
+    edges[q:q + 3], verts[q:q + 3] = (w, x, k), (D, B, C)
+    return edges, verts
+
+
+def _folds(edges):
+    """(fold, loop, enclosed corner slot) for each self-folded triangle of a
+    slot table: the fold fills two slots of its triangle, the loop the
+    third, and the enclosed puncture is the corner between the fold's two
+    sides."""
+    for p in range(0, len(edges), 3):
+        x, y, z = edges[p:p + 3]
+        if x == y:
+            yield x, z, p + 1
+        elif y == z:
+            yield y, x, p + 2
+        elif z == x:
+            yield z, y, p
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +470,13 @@ def signed_adjacency(T: IdealTriangulation) -> ExchangeMatrix:
         img = fold.get(a, a)
         pre.setdefault(img, []).append(a)
     rows = [[0] * n for _ in range(n)]
-    for tri in T.triangles:
-        if tri.self_folded:
+    E = T.edges
+    for p in range(0, len(E), 3):
+        x, y, z = E[p:p + 3]
+        if x == y or y == z or z == x:  # self-folded
             continue
-        for i in range(3):
-            u = tri.edges[i]
-            v = tri.edges[(i + 1) % 3]
-            if T.is_arc(u) and T.is_arc(v):
+        for u, v in ((x, y), (y, z), (z, x)):
+            if u < n and v < n:
                 for a in pre.get(u, ()):
                     for bb in pre.get(v, ()):
                         rows[a][bb] -= 1
@@ -520,17 +492,6 @@ def signature(T: IdealTriangulation) -> dict[int, int]:
 
 # ---------------------------------------------------------------------------
 # canonical keys and flip-graph search
-
-
-def _slots(triangles, n: int):
-    """The flat slot table (edges, verts, partner) of a triangle list.
-
-    Slot 3t + i is side i of triangle t: edges[s] is its edge and verts[s]
-    the corner it starts at; partner is `_partners(edges, n)`.
-    """
-    edges = [e for tri in triangles for e in tri.edges]
-    verts = [v for tri in triangles for v in tri.vertices]
-    return edges, verts, _partners(edges, n)
 
 
 def _partners(edges, n: int) -> list[int]:
@@ -575,9 +536,8 @@ def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int
     number in the winning serialization (the first start on ties). Two maps
     with equal keys are matched, arc for arc, by equal numbers.
     """
-    tris = T.triangles
-    n = T.num_arcs
-    edges, verts, partner = _slots(tris, n)
+    n, edges, verts = T.num_arcs, T.edges, T.verts
+    partner = _partners(edges, n)
     if T.num_boundary:
         starts = [edges.index(n)]
     else:
@@ -587,7 +547,7 @@ def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int
     for s0 in starts:
         arcnum = {}
         out = []
-        visited = [False] * len(tris)
+        visited = [False] * (len(edges) // 3)
         visited[s0 // 3] = True
         queue = [s0]
         for s in queue:  # admissions extend the queue

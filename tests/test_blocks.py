@@ -311,9 +311,11 @@ def test_decomposition_json_roundtrip():
     assert d2 == d
 
 
-def test_random_assemblies_round_trip():
-    # build random multi-block gluings; their matrices must decompose and
-    # rebuild into surfaces with the same signed adjacencies
+def test_random_assemblies_round_trip(monkeypatch):
+    # build random multi-block gluings; their matrices must decompose within
+    # 500000 search calls and rebuild into surfaces with the same signed
+    # adjacencies
+    monkeypatch.setattr(bl, "SEARCH_BUDGET", 500000)
     rng = random.Random(99)
     kinds = list(bl.BLOCK_SPECS)
     checked = 0
@@ -342,7 +344,7 @@ def test_random_assemblies_round_trip():
         except ValueError:
             continue  # random gluing came out disconnected
         B = bl.assemble_matrix(d)
-        d2 = bl.decompose(B, budget=500000)
+        d2 = bl.decompose(B)
         assert d2 is not None, B.rows
         _, T = bl.surface_from_decomposition(d2)
         assert tm.signed_adjacency(T).rows == B.rows
@@ -450,9 +452,10 @@ def _bt0(genus, boundary, punctures):
     (_bt0(2, [4, 4, 4], 3), True, 29),
     (mu.make_quiver("E", 6), False, 10),
 ], ids=["(1,[2,2],2)", "(2,[4,4,4],3)", "E6"])
-def test_search_call_counts(B, decomposable, calls):
+def test_search_call_counts(B, decomposable, calls, monkeypatch):
     # candidates failing the degree prefilter are never placed, so nearly
     # every call places a block that the search keeps or backtracks from
+    monkeypatch.setattr(bl, "SEARCH_BUDGET", 10_000)
     state = bl._Search(B)
-    assert (state._search(budget=10_000) is not None) == decomposable
+    assert (state._search() is not None) == decomposable
     assert state.calls == calls

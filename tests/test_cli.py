@@ -206,8 +206,7 @@ def test_empty_marking_has_one_error_code():
 
 
 def test_is_surface_matrix_undecided(monkeypatch):
-    decompose = blocks.decompose
-    monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))
+    monkeypatch.setattr(blocks, "SEARCH_BUDGET", 1)
     code, data = run(["is-surface-matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
     assert code == 3
     assert data == {"error": "undecided", "detail": "block search budget of 1 calls exhausted"}
@@ -215,8 +214,7 @@ def test_is_surface_matrix_undecided(monkeypatch):
 
 def test_recognize_type_undecided(monkeypatch):
     # an exhausted block search is undecided, not a reason to try the catalog
-    decompose = blocks.decompose
-    monkeypatch.setattr(blocks, "decompose", lambda B: decompose(B, budget=1))
+    monkeypatch.setattr(blocks, "SEARCH_BUDGET", 1)
     code, data = run(["recognize-type", "--matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
     assert code == 3
     assert data == {"error": "undecided", "detail": "block search budget of 1 calls exhausted"}

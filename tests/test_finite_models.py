@@ -131,6 +131,24 @@ def test_cluster_counts(model, count, degree):
     assert len(seen) == len(clusters)
 
 
+@pytest.mark.parametrize("model", [fm.Model("polygon", m) for m in range(4, 9)]
+                         + [fm.Model("punctured", m) for m in range(3, 6)], ids=lambda m: f"{m.kind}-{m.m}")
+def test_cluster_edges_match_pairwise_comparison(model):
+    # the facet lookup against the pairwise comparison of all clusters
+    clusters, edges = fm.enumerate_clusters(model)
+    pairwise = [(i, j) for i in range(len(clusters)) for j in range(i + 1, len(clusters))
+                if len(set(clusters[i]) & set(clusters[j])) == model.rank - 1]
+    assert list(edges) == pairwise
+
+
+def test_enumerate_clusters_asserts_two_clusters_per_facet(monkeypatch):
+    # without one arc, the clusters next to the ones it was in lose a neighbour
+    arcs = fm.enumerate_tagged_arcs(P5)
+    monkeypatch.setattr(fm, "enumerate_tagged_arcs", lambda model: arcs[1:])
+    with pytest.raises(AssertionError, match="exactly two clusters"):
+        fm.enumerate_clusters(P5)
+
+
 def test_purity_all_maximal_sets_have_rank_size():
     import networkx as nx
 

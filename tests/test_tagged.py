@@ -198,9 +198,14 @@ def test_key_equality_is_arc_relabeling(desc):
 
     def shuffled(M, perm):
         # the same relabeling stored with triangles reordered and rotated
-        tris = [t.rotated(rng.randrange(3)) for t in relabeled(M, perm).triangles]
+        R = relabeled(M, perm)
+        tris = []
+        for p in range(0, len(R.edges), 3):
+            r = rng.randrange(3)
+            tris.append((R.edges[p + r:p + 3] + R.edges[p:p + r], R.verts[p + r:p + 3] + R.verts[p:p + r]))
         rng.shuffle(tris)
-        return tm.IdealTriangulation(M.surface, tris)
+        return tm.IdealTriangulation(M.surface, [e for es, _ in tris for e in es],
+                                     [v for _, vs in tris for v in vs])
 
     def check(nodes, key, parts, form, relabel):
         # the pool holds every node and one random relabeling of it, so both

@@ -4,7 +4,7 @@ import json
 import pytest
 from conftest import BATTERY
 
-from surfcluster import blocks as bl, mutation as mu, surface as sf, trimap as tm
+from surfcluster import blocks as bl, mutation as mu, surface as sf, tagged as tg, trimap as tm
 
 
 def build(desc):
@@ -15,21 +15,21 @@ def build(desc):
 def test_pentagon_fan():
     s, T = build((0, [5], 0))
     assert T.num_arcs == 2
-    assert len(T.triangles) == 3
-    assert not any(t.self_folded for t in T.triangles)
+    assert len(T.edges) == 3 * 3
+    assert not T.fold_map()
 
 
 def test_once_punctured_triangle_wheel():
     s, T = build((0, [3], 1))
     assert T.num_arcs == 3
-    assert len(T.triangles) == 3
+    assert len(T.edges) == 3 * 3
     assert tm.signature(T) == {v: 1 for v in T.punctures()}
 
 
 def test_annulus_11_matrix():
     s, T = build((0, [1, 1], 0))
     assert T.num_arcs == 2
-    assert len(T.triangles) == 2
+    assert len(T.edges) == 2 * 3
     assert tm.signed_adjacency(T).rows == ((0, 2), (-2, 0))
 
 
@@ -46,7 +46,7 @@ def test_torus_matrix_up_to_relabeling():
 def test_initial_triangulation_valid_no_self_folded(desc):
     s, T = build(desc)
     assert T.num_arcs == s.rank
-    assert not any(t.self_folded for t in T.triangles)
+    assert not T.fold_map()
     T.validate()
 
 
@@ -65,7 +65,7 @@ def test_flip_involution_and_arc_count():
 def test_fold_not_flippable_loop_is():
     s, T = build((0, [3], 1))
     nodes, _, _ = tm.flip_graph_bfs(T, max_nodes=20)
-    folded = next(n for n in nodes if any(t.self_folded for t in n.triangles))
+    folded = next(n for n in nodes if n.fold_map())
     fold, loop = next(iter(folded.enclosed_punctures().values()))
     assert not tm.is_flippable(folded, fold)
     assert tm.is_flippable(folded, loop)
@@ -78,7 +78,7 @@ def test_fold_not_flippable_loop_is():
 def test_signature_zero_inside_self_folded():
     s, T = build((0, [3], 1))
     nodes, _, _ = tm.flip_graph_bfs(T, max_nodes=20)
-    folded = next(n for n in nodes if any(t.self_folded for t in n.triangles))
+    folded = next(n for n in nodes if n.fold_map())
     sig = tm.signature(folded)
     assert sorted(sig.values()) == [0]
 
@@ -87,7 +87,7 @@ def test_twice_punctured_monogon_signature():
     s, T = build((0, [1], 2))
     nodes, _, _ = tm.flip_graph_bfs(T, max_nodes=60)
     # the nested triangulation has exactly one enclosed puncture
-    nested = [n for n in nodes if sum(t.self_folded for t in n.triangles) == 1]
+    nested = [n for n in nodes if len(n.fold_map()) == 1]
     assert nested
     assert sorted(tm.signature(nested[0]).values()) == [0, 1]
 
@@ -133,7 +133,7 @@ def test_exceptional_four_punctured_sphere_reachable():
     # the triangulation gluing three self-folded triangles onto a central one
     s, T = build((0, [], 4))
     nodes, _, trunc = tm.flip_graph_bfs(T, max_nodes=400, labeled=False)
-    assert any(sum(t.self_folded for t in n.triangles) == 3 for n in nodes)
+    assert any(len(n.fold_map()) == 3 for n in nodes)
 
 
 PENTAGON = [((0, 1, 2), (2, 3, 0)), ((0, 2, 3), (0, 4, 1)), ((0, 3, 4), (1, 5, 6))]  # (0,[5],0): 2 arcs
@@ -188,7 +188,7 @@ def test_validate_rejection_bases_are_valid():
                               ((0, [3], 1), WHEEL, [False, False, True, False]),
                               ((0, [], 4), TETRAHEDRON, [True] * 4)]:
         s = sf.validate_surface(*desc)
-        T = tm.IdealTriangulation(s, tris)
+        T = tm.IdealTriangulation(s, [e for _, es in tris for e in es], [v for vs, _ in tris for v in vs])
         assert T == tm.initial_triangulation(s)
         assert T.puncture_flags == tuple(flags)
         assert tm.IdealTriangulation.from_json(T.to_json()) == T
@@ -207,10 +207,34 @@ def test_builders_output_pinned():
     assert digest == "e11600820b8891118e6505ceadf3f5c4320122c8b6683c12ab34f19bc3839f90"
 
 
+def test_map_outputs_pinned():
+    # the exact JSON of every single flip of the initial triangulations, and
+    # the JSON and DOT export of a capped tagged search from each
+    out = []
+    for desc in BATTERY:
+        T0 = tm.initial_triangulation(sf.validate_surface(*desc))
+        out.append([tm.flip(T0, k).to_json() for k in T0.arcs() if tm.is_flippable(T0, k)])
+        G = tg.exchange_graph_bfs(tg.tag_with(T0), max_nodes=60)
+        out.append([G.to_json(), G.to_dot()])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "a17193c30091c47e243497d5bdad78241cf110457db7555e44af9253802b5004"
+
+
+def test_constructor_checks_the_boundary():
+    # the (0,[3,1],0) annulus triangles stated as the (0,[2,2],0) annulus:
+    # the same counts, arcs, vertices and punctures, other boundary components
+    edges = [e for _, es in ANNULUS for e in es]
+    verts = [v for vs, _ in ANNULUS for v in vs]
+    T = tm.IdealTriangulation(sf.validate_surface(0, [3, 1], 0), edges, verts)
+    assert T.surface.boundary == (3, 1)
+    with pytest.raises(tm.InvalidTriangulation, match=r"the gluing is .*\(3, 1\).*, not .*\(2, 2\)"):
+        tm.IdealTriangulation(sf.validate_surface(0, [2, 2], 0), edges, verts)
+
+
 def test_from_sides_round_trip(battery_triangulations):
     for desc, (s, nodes) in battery_triangulations.items():
         for i, T in enumerate(nodes):
-            R = tm._from_sides([t.edges for t in T.triangles], T.num_arcs)
+            R = tm._from_sides([T.edges[p:p + 3] for p in range(0, len(T.edges), 3)], T.num_arcs)
             assert R.surface == s and len(R.punctures()) == s.punctures
             assert tm.signed_adjacency(R).rows == tm.signed_adjacency(T).rows
             if i == 0:
