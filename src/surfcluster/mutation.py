@@ -249,22 +249,22 @@ def _permuted_rows(rows, perm):
     return tuple(tuple(rows[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
 
 
-def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
-    """Canonical representative of B's orbit under simultaneous permutation.
+def canonical_labeling(B: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[int, ...]]:
+    """Canonical representative of B's orbit under simultaneous permutation,
+    with the labeling that reaches it: (form, order), where order[i] is the
+    index of B placed at position i, so form[i, j] = B[order[i], order[j]].
 
     Iterated partition refinement on (color, entry) multisets, then
     depth-first individualization over the remaining cells, keeping the
-    lexicographically least permuted matrix.
+    lexicographically least permuted matrix; `order` is taken from the first
+    leaf that reaches it.
     """
     n = B.n
     if n > CANONICAL_MAX_N:
         raise DimensionTooLarge(f"n={n} exceeds canonical-form bound {CANONICAL_MAX_N}")
-    if n <= 1:
-        return B
     rows = B.rows
-    vals = {x for row in rows for x in row}
-    if vals <= {0}:
-        return B
+    if n <= 1 or {x for row in rows for x in row} <= {0}:
+        return B, tuple(range(n))
 
     def twins(v, w):
         # transposing v and w is an automorphism
@@ -273,7 +273,7 @@ def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
         return all(rows[v][u] == rows[w][u] for u in range(n) if u not in (v, w))
 
     colors = _refine(rows, [0] * n)
-    best = [None]
+    best = [None, None]
 
     def search(colors):
         cells = {}
@@ -288,7 +288,7 @@ def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
             perm = [v for _, v in sorted((colors[v], v) for v in range(n))]
             cand = _permuted_rows(rows, perm)
             if best[0] is None or cand < best[0]:
-                best[0] = cand
+                best[:] = cand, perm
             return
         chosen = []
         for v in branch:
@@ -301,7 +301,13 @@ def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
             search(_refine(rows, nxt))
 
     search(colors)
-    return ExchangeMatrix._trusted(best[0])  # a permuted skew-symmetric matrix
+    return ExchangeMatrix._trusted(best[0]), tuple(best[1])  # a permuted skew-symmetric matrix
+
+
+def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
+    """Canonical representative of B's orbit under simultaneous permutation
+    (the form of `canonical_labeling`)."""
+    return canonical_labeling(B)[0]
 
 
 @dataclass(frozen=True)
@@ -322,22 +328,47 @@ def mutation_class(B: ExchangeMatrix, max_size: int = 10000) -> MutationClass:
 
     The search expands canonical forms; a mutation with an entry beyond
     ENTRY_CEILING ends it incomplete, as does the size cap (see
-    `_explore.explore`).
+    `_explore.explore`). Each edge between two members is computed from one
+    end only (see `_mutations`), with the members and `complete` of the
+    search that makes every mutation.
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    nodes, _, _, complete = explore(canonical_form(B), lambda M: _mutations(M, ENTRY_CEILING),
+    back = {}
+    nodes, _, _, complete = explore(canonical_form(B), lambda M: _mutations(M, ENTRY_CEILING, back),
                                     _rows, max_size)
     return MutationClass(matrices=tuple(sorted(nodes, key=_rows)), complete=complete, limit=max_size)
 
 
-def _mutations(M: ExchangeMatrix, bound: int):
+def _mutations(M: ExchangeMatrix, bound: int, back: dict):
     """The canonical forms of M's mutations in index order, with None for a
-    mutation that has an entry beyond `bound` (which ends an `explore`)."""
+    mutation that has an entry beyond `bound` (which ends an `explore`), and
+    without the mutations `back` lists for M.
+
+    One end per edge: when mutating M at k gives C = canonical_labeling(...)
+    with C != M, the index i of C with order[i] = k is added to back[C.rows].
+    Mutation is an involution and commutes with simultaneous permutation, so
+    mutating C at i gives a relabeling of M, already admitted. When C is
+    expanded it pops its entry and skips those indices. A skipped move is
+    thus never a new node, a catalog key or None: nodes other than the start
+    are within `bound`, and a start beyond it meets None in its own
+    expansion (mutating at either end of an entry keeps its magnitude), so
+    the search ends before any other node is expanded. Moves that stay in
+    their own class are never skipped. Each `explore` owns its `back`.
+    """
+    skip = back.pop(M.rows, ())
     for k in range(M.n):
+        if k in skip:
+            continue
         Mk = mutate(M, k)
-        yield canonical_form(Mk) if Mk.entries_bounded_by(bound) else None
+        if not Mk.entries_bounded_by(bound):
+            yield None
+            continue
+        C, order = canonical_labeling(Mk)
+        if C.rows != M.rows:
+            back.setdefault(C.rows, set()).add(order.index(k))
+        yield C
 
 
 def _rows(M: ExchangeMatrix):
@@ -612,7 +643,11 @@ def recognize_type(B: ExchangeMatrix) -> str:
     So if B ~ c, the search sees no entry beyond 2 and meets the key of c's
     catalog quiver before it admits s(c) nodes. An entry beyond 2, a complete
     search without a hit, or more than max s(c) nodes therefore means
-    "Unknown". Nothing is kept between calls.
+    "Unknown". The search computes each edge from one end (see `_mutations`):
+    a skipped move only returns to an admitted node, so it admits the same
+    nodes in the same order and meets the same keys, and the size bound holds
+    as for the search that makes every mutation. Nothing is kept between
+    calls.
     Raises `blocks.BudgetExhausted` when the block search is undecided.
     """
     # imported here to break the import cycle blocks -> mutation
@@ -627,9 +662,10 @@ def recognize_type(B: ExchangeMatrix) -> str:
         return "Unknown"
     known = {canonical_form(make_quiver(kind, k)).rows: f"{kind}({k})" for kind, k in tags}
     hit = []
+    back = {}
 
     def moves(M):
-        for C in _mutations(M, _CLASS_ENTRY_BOUND):
+        for C in _mutations(M, _CLASS_ENTRY_BOUND, back):
             if C is not None and C.rows in known:
                 hit.append(known[C.rows])
                 C = None

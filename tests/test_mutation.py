@@ -6,6 +6,7 @@ import random
 import pytest
 
 from surfcluster import mutation as mu
+from surfcluster._explore import explore
 
 
 def rand_skew(rng, n, bound=3):
@@ -280,11 +281,9 @@ def test_recognize_matches_surface_classification():
 
 
 EXCEPTIONAL_CLASS_SIZES = [
-    ("E", 6, 67), ("E", 7, 416), ("AffineE", 6, 132), ("ExtAffE", 6, 49),
-    pytest.param("E", 8, 1574, marks=pytest.mark.slow),
-    pytest.param("AffineE", 7, 1080, marks=pytest.mark.slow),
+    ("E", 6, 67), ("E", 7, 416), ("E", 8, 1574), ("AffineE", 6, 132), ("AffineE", 7, 1080),
+    ("ExtAffE", 6, 49), ("ExtAffE", 7, 506),
     pytest.param("AffineE", 8, 7560, marks=pytest.mark.slow),
-    pytest.param("ExtAffE", 7, 506, marks=pytest.mark.slow),
     pytest.param("ExtAffE", 8, 5739, marks=pytest.mark.slow),
 ]
 
@@ -381,3 +380,89 @@ def test_recognize_refuses_a_class_beyond_its_size(monkeypatch):
     monkeypatch.setitem(mu._CLASS_SIZES, ("E", 6), 1)
     assert mu.recognize_type(B) == "E(6)"
     assert mu.recognize_type(far) == "Unknown"
+
+
+def test_canonical_labeling_reaches_the_form():
+    rng = random.Random(17)
+    mats = [rand_skew(rng, rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(200)]
+    mats += [mu.zero_matrix(4), mu.make_quiver("A", 1), mu.make_quiver("Octahedron"), mu.make_quiver("E", 8)]
+    for B in mats:
+        form, order = mu.canonical_labeling(B)
+        assert sorted(order) == list(range(B.n))
+        assert form.rows == tuple(tuple(B[i, j] for j in order) for i in order)
+        assert form.rows == mu.canonical_form(B).rows == mu.canonical_labeling(relabel(B, rng))[0].rows
+
+
+def all_moves(M, bound, back):
+    """`mu._mutations` without the one-end rule: every mutation of every node."""
+    for k in range(M.n):
+        Mk = mu.mutate(M, k)
+        yield mu.canonical_form(Mk) if Mk.entries_bounded_by(bound) else None
+
+
+def class_search(B, cap, moves):
+    back = {}
+    nodes, keys, edges, complete = explore(mu.canonical_form(B), lambda M: moves(M, mu.ENTRY_CEILING, back),
+                                           lambda M: M.rows, cap)
+    return [M.rows for M in nodes], keys, edges, complete
+
+
+BIG = 31623  # BIG ** 2 is beyond ENTRY_CEILING; mutating the start at 2 cancels it
+CLASS_ORACLE_CASES = (
+    [("E", (6,), cap) for cap in (1, 10, 66, 10000)]
+    + [("D", (5,), cap) for cap in (1, 7, 20, 10000)]
+    + [("AffineA", (3, 2), cap) for cap in (1, 9, 40, 10000)]
+    + [("Octahedron", (), cap) for cap in (1, 3, 10000)]
+)
+CLASS_ORACLE_MATRICES = (
+    [(mu.make_quiver(kind, *params), cap, f"{kind}{','.join(map(str, params))}-cap{cap}")
+     for kind, params, cap in CLASS_ORACLE_CASES]
+    + [(mu.from_edges(3, [(0, 1, 3), (1, 2, 3)]), cap, f"triple-edge-cap{cap}") for cap in (20, 60)]
+    + [(mu.from_edges(3, [(1, 0, BIG ** 2), (0, 2, BIG), (2, 1, BIG)]), 60, "start-beyond-ceiling")]
+)
+
+
+@pytest.mark.parametrize("B, cap", [c[:2] for c in CLASS_ORACLE_MATRICES], ids=[c[2] for c in CLASS_ORACLE_MATRICES])
+def test_one_end_class_search_matches_all_moves_search(B, cap):
+    # the same nodes in the same order, keys, edges and completion
+    one_end = class_search(B, cap, mu._mutations)
+    assert one_end == class_search(B, cap, all_moves)
+    cls = mu.mutation_class(B, cap)
+    assert ([M.rows for M in cls.matrices], cls.complete) == (sorted(one_end[0]), one_end[3])
+
+
+def test_one_end_search_matches_all_moves_on_random_trees(monkeypatch):
+    # random trees on 6-8 vertices with at most one more edge and a rare
+    # weight 2: capped classes and recognition answers against the search
+    # that makes every mutation
+    rng = random.Random(2012)
+    trees = []
+    for _ in range(60):
+        n = rng.randint(6, 8)
+        pairs = [(rng.randrange(j), j) for j in range(1, n)]
+        pairs += rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, 1))
+        trees.append(mu.from_edges(n, [(i, j, rng.choice((1, -1) * 9 + (2, -2))) for i, j in pairs]))
+    one_end = [(mu.mutation_class(B, 300), mu.recognize_type(B)) for B in trees]
+    monkeypatch.setattr(mu, "_mutations", all_moves)
+    assert one_end == [(mu.mutation_class(B, 300), mu.recognize_type(B)) for B in trees]
+    assert {got for _, got in one_end} > {"Unknown"}
+
+
+def _b_t0(desc):
+    from surfcluster import surface as sf, trimap as tm
+
+    return tm.signed_adjacency(tm.initial_triangulation(sf.validate_surface(*desc)))
+
+
+@pytest.mark.parametrize("search, mutations", [
+    (lambda: mu.mutation_class(mu.make_quiver("E", 6)).size, (67, 216)),
+    (lambda: mu.mutation_class(_b_t0((0, [4], 2))).size, (146, 611)),
+    (lambda: mu.mutation_class(mu.make_quiver("E", 7)).size, (416, 1457)),
+    (lambda: mu.recognize_type(mu._tree_from_arms([2, 2, 3])), ("Unknown", 5415)),
+], ids=["E6", "(0,[4],2)", "E7", "T(3,3,4)"])
+def test_one_end_search_mutation_counts(search, mutations, monkeypatch):
+    # the all-moves searches make 402, 1022, 2912 and 9594 mutations
+    calls = []
+    mutate = mu.mutate
+    monkeypatch.setattr(mu, "mutate", lambda B, k: calls.append(k) or mutate(B, k))
+    assert (search(), len(calls)) == mutations

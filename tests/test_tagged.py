@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import BATTERY
-from surfcluster import mutation as mu, surface as sf, tagged as tg, trimap as tm
+from surfcluster import cluster as cl, mutation as mu, surface as sf, tagged as tg, trimap as tm
 from surfcluster._explore import explore
 
 
@@ -313,3 +313,39 @@ def test_one_end_search_flip_counts(desc, cap, counts, monkeypatch):
     monkeypatch.setattr(tg, "tagged_flip", lambda T, k: flips.append(k) or flip(T, k))
     G = graph(desc, max_nodes=cap)
     assert (len(G.nodes), len(G.edges), len(flips)) == counts
+
+
+@pytest.mark.parametrize("desc, cap", [
+    ((1, [], 2), 300), ((0, [], 4), 300), ((0, [], 5), 200), ((2, [], 1), 60), ((1, [1], 0), 300),
+    ((0, [2], 2), 300), ((0, [1], 3), 300), ((0, [2, 2], 0), 200), ((0, [2, 1], 1), 300),
+    ((0, [1, 1, 1], 0), 300),
+], ids=lambda v: str(v).replace(" ", ""))
+def test_cluster_determines_tagged_triangulation(desc, cap):
+    # a joint search over (seed, tagged triangulation) nodes: both parts take
+    # move k, and nodes are keyed by the cluster. The matrix of every map is
+    # its seed's, and a map that reaches a known cluster is the
+    # representative's map once its arcs are renamed by the variable they
+    # carry. The converse is not asserted: on infinite types mapping classes
+    # give different clusters equal map keys.
+    reps = {}
+    rearrivals = []
+
+    def key(node):
+        seed, T = node
+        assert tg.b_matrix(T) == seed.matrix
+        cluster_key = seed.dedup_key()
+        rep_seed, R = reps.setdefault(cluster_key, node)
+        if R is not T:
+            position = {x: a for a, x in enumerate(rep_seed.cluster)}
+            match = {a: position[x] for a, x in enumerate(seed.cluster)}
+            assert T.base.relabel_arcs(match) == R.base and T.signatures == R.signatures
+            rearrivals.append(match)
+        return cluster_key
+
+    def moves(node):
+        seed, T = node
+        return ((cl.mutate_seed(seed, k), tg.tagged_flip(T, k)) for k in range(T.num_arcs))
+
+    T0 = start(desc)
+    nodes, _, _, complete = explore((cl.Seed.initial(tg.b_matrix(T0)), T0), moves, key, cap)
+    assert len(nodes) == cap and not complete and rearrivals
