@@ -1,8 +1,10 @@
-"""Graph-search helpers shared by the package: one breadth-first explorer and
-one union-find.
+"""Graph-search helpers shared by the package: one breadth-first explorer,
+its form for exchange graphs, and one union-find.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 def explore(start, moves, key, limit):
@@ -36,6 +38,42 @@ def explore(start, moves, key, limit):
             if j != i:
                 edges.add((min(i, j), max(i, j)))
     return nodes, list(index), sorted(edges), True
+
+
+def explore_exchange(start, moves, key, limit):
+    """`explore` over an exchange graph, making each edge's move from one end.
+
+    `moves(node, skip)` yields (successor, r) in move order without the
+    labels in `skip`, r being the successor's label for the move back, or
+    None for a refused move. `key(node)` returns (key, names): two nodes
+    under one key are matched, label for label, by equal names[label].
+
+    Moves are involutions that commute with the matching, and whether one is
+    refused depends only on where it lands. When a move of X reaches S under
+    the key of R, the first node there, R's label named like S's r leads
+    back to X, already admitted, so R skips it: `explore`'s return value is
+    that of the search that makes every move. A move within its node's own
+    key records nothing.
+    """
+    # key -> (names of its first node, labels of it whose move is already an
+    # edge); made at that node's arrival, popped when it is expanded
+    back = {}
+
+    def expand(item):
+        node, here = item
+        _, skip = back.pop(here, (None, ()))
+        for move in moves(node, skip):
+            if move is not None:  # None ends the search
+                succ, r = move
+                k, names = key(succ)
+                if k != here:
+                    first, done = back.setdefault(k, (names, set()))
+                    done.add(first.index(names[r]))
+                move = succ, k
+            yield move
+
+    items, keys, edges, complete = explore((start, key(start)[0]), expand, itemgetter(1), limit)
+    return [node for node, _ in items], keys, edges, complete
 
 
 class UnionFind:

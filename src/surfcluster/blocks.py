@@ -111,7 +111,7 @@ def validate_decomposition(d: BlockDecomposition):
         if v in d.bare:
             raise ValueError(f"bare vertex {v} is also covered by a block")
     covered = set(roles) | set(d.bare)
-    if covered != set(range(d.n)):
+    if len(covered) != d.n or not all(0 <= v < d.n for v in covered):
         raise ValueError("blocks and bare vertices must cover every index")
     # pre-cancellation graph must be connected (bare-only components allowed
     # solely when nothing else exists)

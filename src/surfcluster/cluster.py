@@ -18,8 +18,8 @@ int id, and a census seed is a tuple of ids, deduplicated by its sorted
 ids. Within one call it divides once per exchange: the quotient depends only
 on x_k and the multiset of pairs (x_i, b_ik), b_ik != 0, so it is memoized
 under those ids. A seed's matrix is made from its parent's when the seed is
-expanded, so refused successors never mutate a matrix. The census skips the
-move back to each seed's parent, since mu_k mu_k is the identity.
+expanded, so refused successors never mutate a matrix. The census makes
+each exchange from one end only (`_explore.explore_exchange`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from ._explore import explore
+from ._explore import explore_exchange
 from .mutation import ExchangeMatrix, mutate
 
 
@@ -409,10 +409,11 @@ def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensu
     At most `limit` seeds are visited; truncation follows `_explore.explore`.
     A node is (variable ids, matrix, made_at): the initial seed holds B and
     made_at None, any other seed holds its parent's matrix until it is
-    expanded. A seed is not mutated back at made_at: that move only returns
-    to its parent, which is already admitted. Quotients are memoized by
-    exchange only within this call; a division that fails is never memoized,
-    so it fails at the same move as with `mutate_seed`.
+    expanded. The key, its sorted ids, identifies a seed with its cluster;
+    positions are named by their ids, so each exchange is made from one end
+    (`_explore.explore_exchange`).
+    Quotients are memoized by exchange within this call only; a failed
+    division is never memoized, so it fails where `mutate_seed` would.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -421,13 +422,13 @@ def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensu
     ids = {x._packed_key(): i for i, x in enumerate(variables)}
     quotients = {}  # (id of x_k, sorted (id_i, b_ik) over b_ik != 0) -> id
 
-    def moves(node):
+    def moves(node, skip):
         cluster, matrix, made_at = node
         if made_at is not None:
             matrix = mutate(matrix, made_at)
         rows = matrix.rows
         for k in range(n):
-            if k == made_at:
+            if k in skip:
                 continue
             key = (cluster[k], tuple(sorted((x, row[k]) for x, row in zip(cluster, rows) if row[k])))
             new = quotients.get(key)
@@ -436,10 +437,10 @@ def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensu
                 new = quotients[key] = ids.setdefault(p._packed_key(), len(variables))
                 if new == len(variables):
                     variables.append(p)
-            yield cluster[:k] + (new,) + cluster[k + 1:], matrix, k
+            yield (cluster[:k] + (new,) + cluster[k + 1:], matrix, k), k
 
-    seeds, _, _, complete = explore(
-        (tuple(range(n)), B, None), moves, lambda node: tuple(sorted(node[0])), limit)
+    seeds, _, _, complete = explore_exchange(
+        (tuple(range(n)), B, None), moves, lambda node: (tuple(sorted(node[0])), node[0]), limit)
     admitted = {x for cluster, _, _ in seeds for x in cluster}
     ordered = tuple(sorted((variables[x] for x in admitted), key=LaurentPoly._packed_key))
     return VariableCensus(ordered, len(seeds), complete)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from ._explore import explore
+from ._explore import explore, explore_exchange
 
 
 class IndexOutOfRange(ValueError):
@@ -328,36 +328,28 @@ def mutation_class(B: ExchangeMatrix, max_size: int = 10000) -> MutationClass:
 
     The search expands canonical forms; a mutation with an entry beyond
     ENTRY_CEILING ends it incomplete, as does the size cap (see
-    `_explore.explore`). Each edge between two members is computed from one
-    end only (see `_mutations`), with the members and `complete` of the
-    search that makes every mutation.
+    `_explore.explore`). Each edge is mutated from one end only (see
+    `_mutations`).
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
 
-    back = {}
-    nodes, _, _, complete = explore(canonical_form(B), lambda M: _mutations(M, ENTRY_CEILING, back),
-                                    _rows, max_size)
-    return MutationClass(matrices=tuple(sorted(nodes, key=_rows)), complete=complete, limit=max_size)
+    nodes, _, _, complete = explore_exchange(
+        canonical_form(B), lambda M, skip: _mutations(M, ENTRY_CEILING, skip), _key, max_size)
+    return MutationClass(matrices=tuple(sorted(nodes, key=attrgetter("rows"))), complete=complete, limit=max_size)
 
 
-def _mutations(M: ExchangeMatrix, bound: int, back: dict):
-    """The canonical forms of M's mutations in index order, with None for a
-    mutation that has an entry beyond `bound` (which ends an `explore`), and
-    without the mutations `back` lists for M.
+def _mutations(M: ExchangeMatrix, bound: int, skip):
+    """The moves of `_explore.explore_exchange` from the canonical form M, in
+    index order without `skip`: (C, order.index(k)) for the canonical
+    labeling (C, order) of M's mutation at k, or None when that mutation has
+    an entry beyond `bound`.
 
-    One end per edge: when mutating M at k gives C = canonical_labeling(...)
-    with C != M, the index i of C with order[i] = k is added to back[C.rows].
-    Mutation is an involution and commutes with simultaneous permutation, so
-    mutating C at i gives a relabeling of M, already admitted. When C is
-    expanded it pops its entry and skips those indices. A skipped move is
-    thus never a new node, a catalog key or None: nodes other than the start
-    are within `bound`, and a start beyond it meets None in its own
-    expansion (mutating at either end of an entry keeps its magnitude), so
-    the search ends before any other node is expanded. Moves that stay in
-    their own class are never skipped. Each `explore` owns its `back`.
+    A skipped move is never None: nodes other than the start are within
+    `bound`, and a start beyond it meets None in its own expansion (mutating
+    at either end of an entry keeps its magnitude), so the search ends
+    before any other node is expanded.
     """
-    skip = back.pop(M.rows, ())
     for k in range(M.n):
         if k in skip:
             continue
@@ -366,13 +358,12 @@ def _mutations(M: ExchangeMatrix, bound: int, back: dict):
             yield None
             continue
         C, order = canonical_labeling(Mk)
-        if C.rows != M.rows:
-            back.setdefault(C.rows, set()).add(order.index(k))
-        yield C
+        yield C, order.index(k)
 
 
-def _rows(M: ExchangeMatrix):
-    return M.rows
+def _key(M: ExchangeMatrix):
+    # a canonical form is its own frame: each label names itself
+    return M.rows, range(M.n)
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +634,9 @@ def recognize_type(B: ExchangeMatrix) -> str:
     So if B ~ c, the search sees no entry beyond 2 and meets the key of c's
     catalog quiver before it admits s(c) nodes. An entry beyond 2, a complete
     search without a hit, or more than max s(c) nodes therefore means
-    "Unknown". The search computes each edge from one end (see `_mutations`):
-    a skipped move only returns to an admitted node, so it admits the same
-    nodes in the same order and meets the same keys, and the size bound holds
-    as for the search that makes every mutation. Nothing is kept between
-    calls.
+    "Unknown". The search computes each edge from one end (see `_mutations`)
+    with the nodes and keys of the search that makes every mutation, so the
+    bound holds for it too.
     Raises `blocks.BudgetExhausted` when the block search is undecided.
     """
     # imported here to break the import cycle blocks -> mutation
@@ -662,17 +651,16 @@ def recognize_type(B: ExchangeMatrix) -> str:
         return "Unknown"
     known = {canonical_form(make_quiver(kind, k)).rows: f"{kind}({k})" for kind, k in tags}
     hit = []
-    back = {}
 
-    def moves(M):
-        for C in _mutations(M, _CLASS_ENTRY_BOUND, back):
-            if C is not None and C.rows in known:
-                hit.append(known[C.rows])
-                C = None
-            yield C  # None ends the search
+    def moves(M, skip):
+        for move in _mutations(M, _CLASS_ENTRY_BOUND, skip):
+            if move is not None and move[0].rows in known:
+                hit.append(known[move[0].rows])
+                move = None
+            yield move  # None ends the search
 
     start = canonical_form(B)
     if start.rows in known:
         return known[start.rows]
-    explore(start, moves, _rows, max(_CLASS_SIZES[tag] for tag in tags))
+    explore_exchange(start, moves, _key, max(_CLASS_SIZES[tag] for tag in tags))
     return hit[0] if hit else "Unknown"

@@ -33,7 +33,7 @@ surface off the gluing.
 from __future__ import annotations
 
 from ._explore import UnionFind, explore
-from .mutation import ExchangeMatrix, _is_int_list, _require_fields
+from .mutation import QUIVER_MAX_N, ExchangeMatrix, _is_int_list, _require_fields
 from .surface import MarkedSurface, validate_surface
 
 
@@ -339,8 +339,10 @@ def initial_triangulation(s: MarkedSurface) -> IdealTriangulation:
     boundary word is c free sides (unpunctured c-gons) or encodes handles
     and boundary components, each with one marked point; remaining
     punctures enter by triangle subdivision and extra marked points by
-    boundary splits.
+    boundary splits; a rank above QUIVER_MAX_N is refused first.
     """
+    if s.rank > QUIVER_MAX_N:
+        raise ValueError(f"a triangulation is built for at most {QUIVER_MAX_N} arcs, got rank {s.rank}")
     bld = _Builder()
     g, b, cs = s.genus, s.num_boundary, s.boundary
 
@@ -531,10 +533,10 @@ def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     return _numbered_key(T, extra)[0]
 
 
-def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int]]:
-    """(canonical_key(T, extra), number): `number` maps each arc of T to its
-    number in the winning serialization (the first start on ties). Two maps
-    with equal keys are matched, arc for arc, by equal numbers.
+def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, list[int]]:
+    """(canonical_key(T, extra), number): number[a] is arc a's number in the
+    winning serialization (the first start on ties). Two maps with equal
+    keys are matched, arc for arc, by equal numbers.
     """
     n, edges, verts = T.num_arcs, T.edges, T.verts
     partner = _partners(edges, n)
@@ -545,7 +547,8 @@ def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int
 
     best = None
     for s0 in starts:
-        arcnum = {}
+        arcnum = [-1] * n
+        seen = 0
         out = []
         visited = [False] * (len(edges) // 3)
         visited[s0 // 3] = True
@@ -555,10 +558,10 @@ def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, dict[int, int
             for sl in (s, s - r + (r + 1) % 3, s - r + (r + 2) % 3):
                 e = edges[sl]
                 if e < n:
-                    num = arcnum.get(e)
-                    if num is None:
-                        num = arcnum[e] = len(arcnum)
-                    out.append(num)
+                    if arcnum[e] < 0:
+                        arcnum[e] = seen
+                        seen += 1
+                    out.append(arcnum[e])
                     t2 = partner[sl] // 3
                     if not visited[t2]:
                         visited[t2] = True

@@ -112,6 +112,41 @@ def test_huge_rows_matrix_exits_2(capsys):
     assert capsys.readouterr().err == "invalid input: declared dimension does not match rows\n"
 
 
+@pytest.mark.parametrize("n", [2 ** 70, 10 ** 6])
+def test_huge_decomposition_is_uncovered(n):
+    # coverage is checked without building range(n)
+    dec = {"n": n, "blocks": [{"kind": "I", "vertices": [0, 1]}], "bare": []}
+    code, data = run(["block-assemble", json.dumps(dec)])
+    assert code == 1
+    assert data == {"error": "invalid-decomposition", "detail": "blocks and bare vertices must cover every index"}
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"genus": 2 ** 70, "boundary": [], "punctures": 1},
+    {"genus": 0, "boundary": [1004], "punctures": 0},
+], ids=["genus-2**70", "rank-1001"])
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "--surface"],
+    ["b-matrix", "--surface"],
+    ["tagged-bfs", "--surface"],
+], ids=lambda argv: argv[0])
+def test_huge_surface_map_exits_2(argv, descriptor, capsys):
+    # refused before the template triangulation is built
+    code, out = run(argv + [json.dumps(descriptor)])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and str(mutation.QUIVER_MAX_N) in err, err
+
+
+def test_largest_surface_map_is_built():
+    # rank QUIVER_MAX_N is still triangulated; classify builds no map at all
+    surf = json.dumps({"genus": 0, "boundary": [3 + mutation.QUIVER_MAX_N], "punctures": 0})
+    code, data = run(["tagged-bfs", "--max-nodes", "1", "--surface", surf])
+    assert code == 0 and data["truncated"] and len(data["vertices"]) == 1
+    code, data = run(["surface", "classify", json.dumps({"genus": 2 ** 70, "boundary": [], "punctures": 1})])
+    assert code == 0 and data["classification"]["rank"] == 6 * 2 ** 70 - 3
+
+
 @pytest.mark.parametrize("descriptor", [
     '{"genus":0.5,"boundary":[6],"punctures":0}',
     '{"genus":0,"boundary":"6","punctures":0}',

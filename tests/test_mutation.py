@@ -393,18 +393,24 @@ def test_canonical_labeling_reaches_the_form():
         assert form.rows == mu.canonical_form(B).rows == mu.canonical_labeling(relabel(B, rng))[0].rows
 
 
-def all_moves(M, bound, back):
-    """`mu._mutations` without the one-end rule: every mutation of every node."""
+def all_moves(M, bound):
+    """`mu._mutations` without the one-end rule, as `explore` moves: every
+    mutation of every node."""
     for k in range(M.n):
         Mk = mu.mutate(M, k)
         yield mu.canonical_form(Mk) if Mk.entries_bounded_by(bound) else None
 
 
-def class_search(B, cap, moves):
-    back = {}
-    nodes, keys, edges, complete = explore(mu.canonical_form(B), lambda M: moves(M, mu.ENTRY_CEILING, back),
-                                           lambda M: M.rows, cap)
+def class_search(B, cap, search, moves, key):
+    nodes, keys, edges, complete = search(mu.canonical_form(B), moves, key, cap)
     return [M.rows for M in nodes], keys, edges, complete
+
+
+def every_move_exchange(start, moves, key, limit):
+    """`explore_exchange` without the one-end rule: plain `explore` over the
+    same moves, none skipped."""
+    return explore(start, lambda node: (move and move[0] for move in moves(node, ())),
+                   lambda node: key(node)[0], limit)
 
 
 BIG = 31623  # BIG ** 2 is beyond ENTRY_CEILING; mutating the start at 2 cancels it
@@ -425,8 +431,9 @@ CLASS_ORACLE_MATRICES = (
 @pytest.mark.parametrize("B, cap", [c[:2] for c in CLASS_ORACLE_MATRICES], ids=[c[2] for c in CLASS_ORACLE_MATRICES])
 def test_one_end_class_search_matches_all_moves_search(B, cap):
     # the same nodes in the same order, keys, edges and completion
-    one_end = class_search(B, cap, mu._mutations)
-    assert one_end == class_search(B, cap, all_moves)
+    one_end = class_search(B, cap, mu.explore_exchange,
+                           lambda M, skip: mu._mutations(M, mu.ENTRY_CEILING, skip), mu._key)
+    assert one_end == class_search(B, cap, explore, lambda M: all_moves(M, mu.ENTRY_CEILING), lambda M: M.rows)
     cls = mu.mutation_class(B, cap)
     assert ([M.rows for M in cls.matrices], cls.complete) == (sorted(one_end[0]), one_end[3])
 
@@ -443,7 +450,7 @@ def test_one_end_search_matches_all_moves_on_random_trees(monkeypatch):
         pairs += rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(0, 1))
         trees.append(mu.from_edges(n, [(i, j, rng.choice((1, -1) * 9 + (2, -2))) for i, j in pairs]))
     one_end = [(mu.mutation_class(B, 300), mu.recognize_type(B)) for B in trees]
-    monkeypatch.setattr(mu, "_mutations", all_moves)
+    monkeypatch.setattr(mu, "explore_exchange", every_move_exchange)
     assert one_end == [(mu.mutation_class(B, 300), mu.recognize_type(B)) for B in trees]
     assert {got for _, got in one_end} > {"Unknown"}
 

@@ -220,7 +220,7 @@ def test_key_equality_is_arc_relabeling(desc):
                 equal = numbered[i][0] == numbered[j][0]
                 assert equal is (form(U, identity) in orbits[i])
                 if equal:  # the arcs numbered alike match T onto U
-                    arc_of = {m: a for a, m in numbered[j][1].items()}
+                    arc_of = {m: a for a, m in enumerate(numbered[j][1])}
                     assert form(T, [arc_of[numbered[i][1][a]] for a in identity]) == form(U, identity)
 
     cap = 10 if s.rank == 6 else 30
