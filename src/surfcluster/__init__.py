@@ -5,10 +5,8 @@ from .surface import (
     SurfaceClassification,
     ExcludedSurface,
     EmptyMarking,
-    NotRealizable,
     validate_surface,
     classify,
-    recover_genus_punctures,
 )
 from .mutation import (
     ExchangeMatrix,
@@ -21,7 +19,6 @@ from .mutation import (
     make_quiver,
     quiver_product,
     recognize_type,
-    is_acyclic,
 )
 from .trimap import (
     IdealTriangulation,
@@ -29,12 +26,10 @@ from .trimap import (
     is_flippable,
     flip,
     signed_adjacency,
-    signature,
 )
 from .tagged import (
     TaggedTriangulation,
     tag_with,
-    untag,
     tagged_flip,
     exchange_graph_bfs,
     b_matrix,

@@ -325,9 +325,6 @@ class LaurentPoly:
                 bits.append(f"{c}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
 
-    def to_json(self) -> dict:
-        return {"nvars": self.nvars, "terms": [[list(e), c] for e, c in self.key()]}
-
 
 @dataclass(frozen=True)
 class Seed:

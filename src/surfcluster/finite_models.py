@@ -66,26 +66,6 @@ class ModelArc:
             return f"c{self.i}-{self.j}({self.side})"
         return f"c{self.i}-{self.j}"
 
-    def to_json(self) -> dict:
-        out = {"model": self.model.kind, "m": self.model.m}
-        if self.kind == "radius":
-            out["radius"] = self.i
-            out["tag"] = "notched" if self.tag == NOTCHED else "plain"
-        else:
-            out["chord"] = [self.i, self.j]
-            if self.side:
-                out["side"] = self.side
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "ModelArc":
-        model = Model(data["model"], int(data["m"]))
-        if "radius" in data:
-            tag = NOTCHED if data.get("tag") == "notched" else PLAIN
-            return radius(model, int(data["radius"]), tag)
-        i, j = data["chord"]
-        return chord(model, int(i), int(j), data.get("side", ""))
-
 
 def _ccw_between(m: int, i: int, j: int) -> tuple[int, ...]:
     """Vertices strictly between i and j walking counterclockwise."""

@@ -122,10 +122,6 @@ def quiver_edges(B: ExchangeMatrix) -> list[tuple[int, int, int]]:
     return out
 
 
-def quiver_to_json(B: ExchangeMatrix) -> dict:
-    return {"n": B.n, "edges": [list(e) for e in quiver_edges(B)]}
-
-
 def quiver_from_json(data: dict) -> ExchangeMatrix:
     """Read outside JSON: an integer n, 0 <= n <= QUIVER_MAX_N, and integer
     edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""
@@ -210,21 +206,6 @@ def rank(B: ExchangeMatrix) -> int:
 
 def corank(B: ExchangeMatrix) -> int:
     return B.n - rank(B)
-
-
-def is_acyclic(B: ExchangeMatrix) -> bool:
-    """True iff the quiver of B has no directed cycle: removing sources one
-    at a time empties it."""
-    indegree = [sum(x < 0 for x in row) for row in B.rows]
-    left = set(range(B.n))
-    while left:
-        v = next((v for v in left if not indegree[v]), None)
-        if v is None:
-            return False
-        left.remove(v)
-        for w, x in enumerate(B.rows[v]):
-            indegree[w] -= x > 0
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +365,6 @@ def _tree_from_arms(arm_lengths) -> ExchangeMatrix:
     return from_edges(idx, edges)
 
 
-def _path(n: int) -> ExchangeMatrix:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def _bipartition(B: ExchangeMatrix) -> list[int]:
     """Side +-1 of each vertex; each component's least vertex is on side 1."""
     n = B.n
@@ -534,7 +511,7 @@ def make_quiver(kind: str, *params: int) -> ExchangeMatrix:
             (n,) = params
             if n < 1:
                 raise BadSpec("A(n) needs n >= 1")
-            return _path(n)
+            return _tree_from_arms([n - 1])
         if kind == "D":
             (n,) = params
             if n < 4:
@@ -580,7 +557,7 @@ def make_quiver(kind: str, *params: int) -> ExchangeMatrix:
             k, l = params
             if k < 2 or l < 2:
                 raise BadSpec("Grid(k,l) needs k,l >= 2")
-            return quiver_product(_path(k - 1), _path(l - 1))
+            return quiver_product(_tree_from_arms([k - 2]), _tree_from_arms([l - 2]))
         if kind == "Octahedron":
             if params:
                 raise BadSpec("Octahedron takes no parameters")

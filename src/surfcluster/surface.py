@@ -24,10 +24,6 @@ class EmptyMarking(ValueError):
     pass
 
 
-class NotRealizable(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MarkedSurface:
     """Validated bordered surface with marked points.
@@ -199,26 +195,3 @@ def catalog_type(growth: Growth) -> str:
     if growth.family == "Exponential":
         return "Unknown"
     return _CARTAN_NOTES.get(str(growth), (None, str(growth)))[1]
-
-
-def recover_genus_punctures(n: int, r: int) -> tuple[int, int]:
-    """Genus and puncture count of a closed surface from (matrix size, rank).
-
-    The caller asserts the matrix came from a triangulation of a closed
-    surface; raises NotRealizable when no such surface exists.
-    """
-    if r % 2 != 0:
-        raise NotRealizable("skew-symmetric rank must be even")
-    if (3 * r - 2 * n + 6) % 6 != 0:
-        raise NotRealizable("3r - 2n + 6 is not divisible by 6")
-    g = (3 * r - 2 * n + 6) // 6
-    p = n - r
-    if g < 0:
-        raise NotRealizable("negative genus")
-    if p < 1:
-        raise NotRealizable("a closed marked surface needs at least one puncture")
-    try:
-        validate_surface(genus=g, boundary=(), punctures=p)
-    except (ExcludedSurface, EmptyMarking) as exc:
-        raise NotRealizable(str(exc)) from exc
-    return g, p

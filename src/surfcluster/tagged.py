@@ -38,11 +38,6 @@ class TaggedTriangulation:
     def num_arcs(self) -> int:
         return self.base.num_arcs
 
-    def to_json(self) -> dict:
-        data = self.base.to_json()
-        data["signature"] = {str(v): s for v, s in self.signatures}
-        return data
-
 
 def tag_with(T0: IdealTriangulation, signs: dict[int, int] | None = None) -> TaggedTriangulation:
     """Tag an ordinary triangulation under the given sign choice.
@@ -60,11 +55,6 @@ def tag_with(T0: IdealTriangulation, signs: dict[int, int] | None = None) -> Tag
         else:
             sig.append((v, PLAIN if signs.get(v, 1) >= 0 else NOTCHED))
     return TaggedTriangulation(T0, tuple(sorted(sig)))
-
-
-def untag(T: TaggedTriangulation) -> IdealTriangulation:
-    """The ordinary triangulation underlying T (its plain-arc companion)."""
-    return T.base
 
 
 def b_matrix(T: TaggedTriangulation) -> ExchangeMatrix:

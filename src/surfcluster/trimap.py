@@ -456,7 +456,7 @@ def _folds(edges):
 
 
 # ---------------------------------------------------------------------------
-# signed adjacency and signature
+# signed adjacency
 
 
 def signed_adjacency(T: IdealTriangulation) -> ExchangeMatrix:
@@ -484,12 +484,6 @@ def signed_adjacency(T: IdealTriangulation) -> ExchangeMatrix:
                         rows[a][bb] -= 1
                         rows[bb][a] += 1
     return ExchangeMatrix.from_rows(rows)
-
-
-def signature(T: IdealTriangulation) -> dict[int, int]:
-    """0 at punctures enclosed by a self-folded triangle, 1 elsewhere."""
-    enclosed = T.enclosed_punctures()
-    return {v: (0 if v in enclosed else 1) for v in T.punctures()}
 
 
 # ---------------------------------------------------------------------------

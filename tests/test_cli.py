@@ -23,6 +23,13 @@ def test_surface_classify_hexagon():
     assert data["classification"]["growth"] == "A(3)"
 
 
+def test_surface_classify_prints_the_note():
+    out = io.StringIO()
+    assert cli.main(["surface", "classify", '{"genus":0,"boundary":[3],"punctures":1}'], out=out) == 0
+    assert '"note": "Cartan type A3"' in out.getvalue()
+    assert json.loads(out.getvalue())["classification"]["growth"] == "D(3)"
+
+
 def test_surface_classify_rejection():
     code, data = run(["surface", "classify", '{"genus":0,"boundary":[],"punctures":3}'])
     assert code == 1

@@ -194,15 +194,22 @@ DOUBLED_PATH = mu.ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 2], [0, -2, 0]])
     relabeled(mu.make_quiver("D", 6), 6), relabeled(mu.make_quiver("A", 7), 7),
     KRONECKER, DOUBLED_PATH,
 ])
-def test_census_without_the_parent_move_keeps_the_search(B):
+def test_census_without_the_parent_move_keeps_the_search(monkeypatch, B):
     # interning, the exchange memo, the lazy matrix and making each exchange
-    # from one end change no admitted seed, its order, or the variables
+    # from one end change no admitted seed, its order, its matrix, the edges
+    # or the variables
     def every_move(s):
         return (cl.mutate_seed(s, k) for k in range(B.n))
 
+    searches = []
+    search = cl.explore_exchange
+    monkeypatch.setattr(cl, "explore_exchange", lambda *args: searches.append(search(*args)) or searches[-1])
     for cap in {KRONECKER: (5, 12, 20), DOUBLED_PATH: (5, 10, 16)}.get(B, (3, 10, 40, 200, 2000)):
-        seeds, _, _, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
+        seeds, _, edges, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
         census = cl.all_cluster_variables(B, cap)
+        nodes, _, census_edges, _ = searches[-1]
+        assert [m if k is None else mu.mutate(m, k) for _, m, k in nodes] == [s.matrix for s in seeds]
+        assert census_edges == edges
         assert (census.seeds_seen, census.complete) == (len(seeds), complete)
         expected = sorted({p for s in seeds for p in s.cluster}, key=cl.LaurentPoly._packed_key)
         assert census.variables == tuple(expected)

@@ -235,8 +235,3 @@ def test_exchange_matrices_asserts(monkeypatch):
     monkeypatch.setattr(fm, "mutate", flaky_mutate)
     with pytest.raises(AssertionError, match="path-dependent"):
         fm.exchange_matrices(P5, clusters, edges)
-
-
-def test_arc_json_roundtrip():
-    for arc in fm.enumerate_tagged_arcs(PP4):
-        assert fm.ModelArc.from_json(arc.to_json()) == arc

@@ -81,17 +81,6 @@ def test_cartan_note_on_ties():
     assert sf.classify(sf.validate_surface(0, [3], 1)).note == "Cartan type A3"
 
 
-def test_recover_genus_punctures():
-    assert sf.recover_genus_punctures(3, 2) == (1, 1)
-    assert sf.recover_genus_punctures(12, 6) == (0, 6)
-    with pytest.raises(sf.NotRealizable):
-        sf.recover_genus_punctures(3, 3)
-    with pytest.raises(sf.NotRealizable):
-        sf.recover_genus_punctures(4, 4)  # p = 0 impossible
-    with pytest.raises(sf.NotRealizable):
-        sf.recover_genus_punctures(5, 2)  # divisibility fails
-
-
 def test_json_roundtrip():
     s = sf.validate_surface(1, [2, 1], 2)
     assert sf.MarkedSurface.from_json(s.to_json()) == s

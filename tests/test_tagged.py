@@ -54,14 +54,14 @@ def test_tag_untag_roundtrip():
         opts = [(v, [1, -1] if s == 0 else [s]) for v, s in node.signatures]
         for combo in itertools.product(*[o[1] for o in opts]):
             signs = {opts[i][0]: combo[i] for i in range(len(opts))}
-            back = tg.tag_with(tg.untag(node), signs)
+            back = tg.tag_with(node.base, signs)
             assert back.base == node.base and back.signatures == node.signatures
 
 
 def test_untag_b_matrix_consistent():
     G = graph((0, [3], 1))
     for node in G.nodes:
-        assert tg.b_matrix(node).rows == tm.signed_adjacency(tg.untag(node)).rows
+        assert tg.b_matrix(node).rows == tm.signed_adjacency(node.base).rows
 
 
 def test_tagged_flip_involution():
@@ -85,6 +85,28 @@ def test_tagged_flip_unknown_arc():
     T = start((0, [2], 1))
     with pytest.raises(tg.ArcNotPresent):
         tg.tagged_flip(T, 5)
+
+
+def test_fold_reader_on_every_rotation():
+    # outside JSON may state a self-folded triangle at any rotation, so its
+    # fold can fill slots 0 and 1, 1 and 2, or 2 and 0
+    folded = [T for T in graph((0, [2], 2)).nodes if T.base.fold_map()]
+    assert folded
+    for T in folded:
+        data = T.base.to_json()
+        for t, tri in enumerate(data["triangles"]):
+            if len(set(tri["e"])) == 3:
+                continue
+            for r in (1, 2):
+                turned = dict(data, triangles=list(data["triangles"]))
+                turned["triangles"][t] = {"v": tri["v"][r:] + tri["v"][:r], "e": tri["e"][r:] + tri["e"][:r]}
+                R = tg.TaggedTriangulation(tm.IdealTriangulation.from_json(turned), T.signatures)
+                assert R.base.fold_map() == T.base.fold_map()
+                assert R.base.enclosed_punctures() == T.base.enclosed_punctures()
+                assert tg.b_matrix(R).rows == tg.b_matrix(T).rows
+                assert tg.canonical_key(R) == tg.canonical_key(T)
+                for k in range(T.num_arcs):
+                    assert tg.canonical_key(tg.tagged_flip(R, k)) == tg.canonical_key(tg.tagged_flip(T, k))
 
 
 def test_b_matrix_commutation():

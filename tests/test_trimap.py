@@ -23,7 +23,7 @@ def test_once_punctured_triangle_wheel():
     s, T = build((0, [3], 1))
     assert T.num_arcs == 3
     assert len(T.edges) == 3 * 3
-    assert tm.signature(T) == {v: 1 for v in T.punctures()}
+    assert dict(tg.tag_with(T).signatures) == {v: 1 for v in T.punctures()}
 
 
 def test_annulus_11_matrix():
@@ -79,7 +79,7 @@ def test_signature_zero_inside_self_folded():
     s, T = build((0, [3], 1))
     nodes, _, _ = tm.flip_graph_bfs(T, max_nodes=20)
     folded = next(n for n in nodes if n.fold_map())
-    sig = tm.signature(folded)
+    sig = dict(tg.tag_with(folded).signatures)
     assert sorted(sig.values()) == [0]
 
 
@@ -89,7 +89,7 @@ def test_twice_punctured_monogon_signature():
     # the nested triangulation has exactly one enclosed puncture
     nested = [n for n in nodes if len(n.fold_map()) == 1]
     assert nested
-    assert sorted(tm.signature(nested[0]).values()) == [0, 1]
+    assert sorted(dict(tg.tag_with(nested[0]).signatures).values()) == [0, 1]
 
 
 def test_pentagon_five_cycle():
