@@ -15,8 +15,7 @@ square's matrix [0] demands one.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from ._explore import UnionFind
 from .mutation import ExchangeMatrix, _is_int_list, _require_fields
@@ -36,17 +35,12 @@ BLOCK_SPECS: dict[str, tuple[int, frozenset, tuple[tuple[int, int], ...]]] = {
 _KIND_ORDER = tuple(BLOCK_SPECS)
 
 
-@dataclass(frozen=True)
-class BlockPlacement:
-    kind: str
-    vertices: tuple[int, ...]  # block-local index -> matrix vertex
+# vertices: block-local index -> matrix vertex
+BlockPlacement = namedtuple("BlockPlacement", "kind vertices")
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    n: int
-    blocks: tuple[BlockPlacement, ...]
-    bare: tuple[int, ...] = ()
+class BlockDecomposition(namedtuple("BlockDecomposition", "n blocks bare", defaults=((),))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

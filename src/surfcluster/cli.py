@@ -31,8 +31,7 @@ def _read_json_arg(value: str) -> dict:
 
 
 def _emit(data, out):
-    json.dump(data, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(code: str, detail: str, out) -> int:

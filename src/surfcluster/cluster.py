@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._explore import explore_exchange
 from .mutation import ExchangeMatrix, mutate
@@ -326,12 +326,10 @@ class LaurentPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(namedtuple("Seed", "cluster matrix")):
     """A cluster of Laurent polynomials plus the exchange matrix, aligned."""
 
-    cluster: tuple[LaurentPoly, ...]
-    matrix: ExchangeMatrix
+    __slots__ = ()
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
@@ -393,11 +391,7 @@ def initial_denominator_vectors(n: int):
     return [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class VariableCensus:
-    variables: tuple[LaurentPoly, ...]
-    seeds_seen: int
-    complete: bool
+VariableCensus = namedtuple("VariableCensus", "variables seeds_seen complete")
 
 
 def all_cluster_variables(B: ExchangeMatrix, limit: int = 1000) -> VariableCensus:

@@ -11,7 +11,7 @@ enumeration are closed-form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._explore import explore
 from .mutation import ExchangeMatrix, mutate
@@ -21,20 +21,22 @@ class ExcludedModel(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Model:
-    kind: str  # "polygon" | "punctured"
-    m: int
+class Model(namedtuple("Model", "kind m")):
+    """kind is "polygon" or "punctured", m the number of boundary vertices;
+    both are checked on construction."""
 
-    def __post_init__(self):
-        if self.kind == "polygon":
-            if self.m < 4:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, m: int):
+        if kind == "polygon":
+            if m < 4:
                 raise ExcludedModel("polygon model needs at least 4 boundary vertices")
-        elif self.kind == "punctured":
-            if self.m < 3:
+        elif kind == "punctured":
+            if m < 3:
                 raise ExcludedModel("punctured polygon model needs at least 3 boundary vertices")
         else:
-            raise ExcludedModel(f"unknown model kind {self.kind!r}")
+            raise ExcludedModel(f"unknown model kind {kind!r}")
+        return tuple.__new__(cls, (kind, m))
 
     @property
     def rank(self) -> int:
@@ -50,14 +52,10 @@ CCW = "ccw"
 CW = "cw"
 
 
-@dataclass(frozen=True, order=True)
-class ModelArc:
-    model: Model
-    kind: str  # "chord" | "radius"
-    i: int
-    j: int = -1
-    side: str = ""  # chords in the punctured model
-    tag: int = 0    # radii: PLAIN or NOTCHED
+# kind: "chord" | "radius"; side: chords in the punctured model; tag: radii,
+# PLAIN or NOTCHED
+class ModelArc(namedtuple("ModelArc", "model kind i j side tag", defaults=(-1, "", 0))):
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "radius":

@@ -10,7 +10,7 @@ input toward the catalog's exceptional quivers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter, itemgetter
 
 from ._explore import explore, explore_exchange
@@ -38,23 +38,24 @@ CANONICAL_MAX_N = 64
 QUIVER_MAX_N = 1000
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
-    """Skew-symmetric integer matrix; row/column i is labeled by index i."""
+class ExchangeMatrix(namedtuple("ExchangeMatrix", "rows")):
+    """Skew-symmetric integer matrix; row/column i is labeled by index i.
+    The rows are checked on construction."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]):
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
         for i in range(n):
-            if self.rows[i][i] != 0:
+            if rows[i][i] != 0:
                 raise ValueError("diagonal entries must vanish")
             for j in range(i + 1, n):
-                if self.rows[i][j] != -self.rows[j][i]:
+                if rows[i][j] != -rows[j][i]:
                     raise ValueError("matrix must be skew-symmetric")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def n(self) -> int:
@@ -67,10 +68,8 @@ class ExchangeMatrix:
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "ExchangeMatrix":
         """Wrap rows already known to be square and skew-symmetric, without
-        the check of __post_init__."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
+        the check of __new__."""
+        return tuple.__new__(cls, (rows,))
 
     @staticmethod
     def from_rows(rows) -> "ExchangeMatrix":
@@ -291,13 +290,10 @@ def canonical_form(B: ExchangeMatrix) -> ExchangeMatrix:
     return canonical_labeling(B)[0]
 
 
-@dataclass(frozen=True)
-class MutationClass:
+class MutationClass(namedtuple("MutationClass", "matrices complete limit")):
     """Canonical representatives of a mutation class, with completion status."""
 
-    matrices: tuple[ExchangeMatrix, ...]
-    complete: bool
-    limit: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -9,7 +9,7 @@ the homotopy type of the tagged arc complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .mutation import _is_int_list
 
@@ -24,17 +24,14 @@ class EmptyMarking(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class MarkedSurface(namedtuple("MarkedSurface", "genus boundary punctures")):
     """Validated bordered surface with marked points.
 
     boundary holds one entry per boundary component (marked points on it),
     sorted descending so homeomorphic surfaces compare equal.
     """
 
-    genus: int
-    boundary: tuple[int, ...]
-    punctures: int
+    __slots__ = ()
 
     @property
     def num_boundary(self) -> int:
@@ -103,12 +100,11 @@ def validate_surface(genus: int = 0, boundary=(), punctures: int = 0) -> MarkedS
     return MarkedSurface(genus=g, boundary=tuple(sorted(cs, reverse=True)), punctures=p)
 
 
-@dataclass(frozen=True)
-class Growth:
+# family: A | D | AffineA | AffineD | Gamma2 | Gamma3 | Exponential
+class Growth(namedtuple("Growth", "family params", defaults=((),))):
     """Growth class of the flip graph; params identify the named family."""
 
-    family: str  # A | D | AffineA | AffineD | Gamma2 | Gamma3 | Exponential
-    params: tuple[int, ...] = ()
+    __slots__ = ()
 
     def __str__(self):
         if self.family == "Exponential":
@@ -116,22 +112,17 @@ class Growth:
         return f"{self.family}({','.join(str(p) for p in self.params)})"
 
 
-@dataclass(frozen=True)
-class Homotopy:
-    kind: str  # sphere | contractible
-    dim: int | None = None
+# kind: sphere | contractible
+class Homotopy(namedtuple("Homotopy", "kind dim", defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self):
         return f"S^{self.dim}" if self.kind == "sphere" else "contractible"
 
 
-@dataclass(frozen=True)
-class SurfaceClassification:
-    rank: int
-    finite_arcs: bool
-    growth: Growth
-    homotopy: Homotopy
-    note: str | None = None
+class SurfaceClassification(namedtuple("SurfaceClassification", "rank finite_arcs growth homotopy note",
+                                       defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {

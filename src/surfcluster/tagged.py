@@ -10,7 +10,7 @@ triangulations have equal representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import trimap
 from ._explore import explore_exchange
@@ -26,10 +26,9 @@ PLAIN = 1
 NOTCHED = -1
 
 
-@dataclass(frozen=True)
-class TaggedTriangulation:
-    base: IdealTriangulation
-    signatures: tuple[tuple[int, int], ...]  # (puncture vertex, signature) sorted
+# signatures: (puncture vertex, signature) sorted
+class TaggedTriangulation(namedtuple("TaggedTriangulation", "base signatures")):
+    __slots__ = ()
 
     def sig(self, v: int) -> int:
         return dict(self.signatures)[v]
@@ -109,12 +108,9 @@ def canonical_key(T: TaggedTriangulation) -> tuple:
     return trimap.canonical_key(T.base, extra=T.signatures)
 
 
-@dataclass(frozen=True)
-class FlipGraph:
-    nodes: tuple[TaggedTriangulation, ...]
-    edges: tuple[tuple[int, int], ...]
-    truncated: bool
-    keys: tuple[tuple, ...]  # canonical_key of each node, as the search computed it
+# keys: canonical_key of each node, as the search computed it
+class FlipGraph(namedtuple("FlipGraph", "nodes edges truncated keys")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
