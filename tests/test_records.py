@@ -94,7 +94,6 @@ def test_record_defaults():
 def test_keyword_construction():
     assert mu.ExchangeMatrix(rows=((0, 2), (-2, 0))) == mu.ExchangeMatrix(((0, 2), (-2, 0)))
     assert fm.Model(kind="polygon", m=6).rank == 3
-    assert sf.MarkedSurface(genus=1, boundary=(), punctures=1).rank == 3
 
 
 def test_model_arcs_keep_their_order():
@@ -114,10 +113,6 @@ def test_exchange_matrix_checks_its_rows(rows):
 def test_model_checks_its_arguments(kind, m):
     with pytest.raises(fm.ExcludedModel):
         fm.Model(kind, m)
-
-
-def test_exchange_matrix_entry_lookup():
-    assert (B[0, 1], B[1, 0], B.n) == (1, -1, 2)
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
