@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from ._explore import explore, explore_exchange
 
@@ -90,7 +90,8 @@ class ExchangeMatrix(namedtuple("ExchangeMatrix", "rows")):
         return ExchangeMatrix.from_rows(rows)
 
     def entries_bounded_by(self, bound: int) -> bool:
-        return all(abs(x) <= bound for row in self.rows for x in row)
+        rows = self.rows
+        return not rows or (max(map(max, rows)) <= bound and min(map(min, rows)) >= -bound)
 
 
 def zero_matrix(n: int) -> ExchangeMatrix:
@@ -212,21 +213,55 @@ def corank(B: ExchangeMatrix) -> int:
 
 
 def _refine(rows, colors):
-    # Colors are renumbered 0.. in signature order, which keeps the order of
-    # the old colors; a pass that splits no cell is therefore stable.
-    cells = len(set(colors))
+    """Refine the vertex coloring `colors` of the skew-symmetric `rows`.
+
+    Each pass gives every vertex the rank of its signature: its color, then
+    the sorted multiset of pairs (color of u, entry toward u) over all u.
+    Passes repeat until one splits no cell, and the colors come back
+    numbered 0.. in signature order. Canonical forms depend on these exact
+    colors, so the work is cut only where no color can change:
+    - a signature is ranked by its color first, so each cell takes the next
+      numbers in color order. A cell of one vertex gets one number whatever
+      its multiset, which is therefore computed only in larger cells;
+    - the pair (c, x) is coded as c * width + x with width > 2 max |x|,
+      which orders as the pairs do, negative colors included, so a multiset
+      is a sorted tuple of ints;
+    - a discrete coloring cannot split, so it is returned without a pass
+      that would confirm it.
+    """
+    n = len(rows)
+    width = 2 * max(map(max, rows), default=0) + 1  # max |x|: the rows are skew
+    by_color = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    cells = [by_color[c] for c in sorted(by_color)]
     while True:
-        sig = [(c, tuple(sorted(zip(colors, row)))) for c, row in zip(colors, rows)]
-        rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-        colors = [rank[s] for s in sig]
-        if len(rank) == cells:
+        colors = [0] * n
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
+        if len(cells) == n:
             return colors
-        cells = len(rank)
+        coded = [c * width for c in colors]
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted(map(add, coded, rows[v]))), []).append(v)
+            split += (parts[s] for s in sorted(parts))
+        if len(split) == len(cells):
+            return colors
+        cells = split
 
 
 def _permuted_rows(rows, perm):
-    # perm[i] = original index placed at position i
-    return tuple(tuple(rows[perm[i]][perm[j]] for j in range(len(perm))) for i in range(len(perm)))
+    # perm[i] = original index placed at position i; at least two of them,
+    # so the getter returns tuples
+    get = itemgetter(*perm)
+    return tuple(get(rows[v]) for v in perm)
 
 
 def canonical_labeling(B: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[int, ...]]:
@@ -237,13 +272,15 @@ def canonical_labeling(B: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[int, ..
     Iterated partition refinement on (color, entry) multisets, then
     depth-first individualization over the remaining cells, keeping the
     lexicographically least permuted matrix; `order` is taken from the first
-    leaf that reaches it.
+    leaf that reaches it. `_refine` skips only work that cannot change a
+    color, so the search visits the same nodes in the same order, and at a
+    discrete coloring (colors 0..n-1) the leaf's labeling is its inverse.
     """
     n = B.n
     if n > CANONICAL_MAX_N:
         raise DimensionTooLarge(f"n={n} exceeds canonical-form bound {CANONICAL_MAX_N}")
     rows = B.rows
-    if n <= 1 or {x for row in rows for x in row} <= {0}:
+    if n <= 1 or not any(map(any, rows)):
         return B, tuple(range(n))
 
     def twins(v, w):
@@ -256,20 +293,19 @@ def canonical_labeling(B: ExchangeMatrix) -> tuple[ExchangeMatrix, tuple[int, ..
     best = [None, None]
 
     def search(colors):
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        branch = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                branch = cells[c]
-                break
-        if branch is None:
-            perm = [v for _, v in sorted((colors[v], v) for v in range(n))]
+        k = max(colors) + 1
+        if k == n:
+            perm = [0] * n
+            for v, c in enumerate(colors):
+                perm[c] = v
             cand = _permuted_rows(rows, perm)
             if best[0] is None or cand < best[0]:
                 best[:] = cand, perm
             return
+        cells = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        branch = next(cell for cell in cells if len(cell) > 1)
         chosen = []
         for v in branch:
             # siblings swappable by an automorphism yield identical subtrees
@@ -601,15 +637,18 @@ def recognize_type(B: ExchangeMatrix) -> str:
     type; exponential growth and A1 x A1 are "Unknown". Without one, B is of
     no catalog type unless it lies in the class c of an exceptional type E,
     AffineE or ExtAffE with B's number of vertices (Felikson-Shapiro-Tumarkin).
+    Rank is a mutation invariant (Berenstein-Fomin-Zelevinsky, Cluster
+    algebras III, Lemma 3.2), so only the candidates of B's rank are kept.
     A breadth-first search from canonical_form(B) stops at the first key of
-    a candidate's catalog quiver. The answer is proven: each c is finite, of
-    size s(c) (`_CLASS_SIZES`), and all entries of its members lie in -2..2.
-    So if B ~ c, the search sees no entry beyond 2 and meets the key of c's
-    catalog quiver before it admits s(c) nodes. An entry beyond 2, a complete
-    search without a hit, or more than max s(c) nodes therefore means
-    "Unknown". The search computes each edge from one end (see `_mutations`)
-    with the nodes and keys of the search that makes every mutation, so the
-    bound holds for it too.
+    a kept candidate's catalog quiver. The answer is proven: each c is
+    finite, of size s(c) (`_CLASS_SIZES`), and all entries of its members
+    lie in -2..2. So if B ~ c, the search sees no entry beyond 2 and meets
+    the key of c's catalog quiver before it admits s(c) nodes. An entry
+    beyond 2, no kept candidate, a complete search without a hit, or more
+    than max s(c) nodes over the kept candidates therefore means "Unknown".
+    The search computes each edge from one end (see `_mutations`) with the
+    nodes and keys of the search that makes every mutation, so the bound
+    holds for it too.
     Raises `blocks.BudgetExhausted` when the block search is undecided.
     """
     # imported here to break the import cycle blocks -> mutation
@@ -619,10 +658,14 @@ def recognize_type(B: ExchangeMatrix) -> str:
     if d is not None:
         s, _ = blocks.surface_from_decomposition(d)
         return surface.catalog_type(surface.classify(s).growth)
-    tags = _candidates(B.n)
-    if not tags or not B.entries_bounded_by(_CLASS_ENTRY_BOUND):
+    if not B.entries_bounded_by(_CLASS_ENTRY_BOUND):
         return "Unknown"
-    known = {canonical_form(make_quiver(kind, k)).rows: f"{kind}({k})" for kind, k in tags}
+    catalog = {tag: make_quiver(*tag) for tag in _candidates(B.n)}
+    r = rank(B)
+    tags = [tag for tag, Q in catalog.items() if rank(Q) == r]
+    if not tags:
+        return "Unknown"
+    known = {canonical_form(catalog[kind, k]).rows: f"{kind}({k})" for kind, k in tags}
     hit = []
 
     def moves(M, skip):

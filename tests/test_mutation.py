@@ -129,6 +129,65 @@ def test_refine_matches_reference():
             assert mu._refine(B.rows, start) == reference(B.rows, start)
 
 
+def plain_refine(rows, colors):
+    """The brute-force refinement of `test_refine_matches_reference`."""
+    n = len(rows)
+    while True:
+        sig = [(colors[i], tuple(sorted((colors[j], rows[i][j]) for j in range(n)))) for i in range(n)]
+        order = sorted(set(sig))
+        new = [order.index(x) for x in sig]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_refine_matches_reference_on_search_colorings():
+    # the colorings canonical_labeling refines: individualized ones (2c, and
+    # 2c - 1 for the chosen vertex, down to -1), one to three levels deep;
+    # discrete starts and random ones with negative colors; and entries up to
+    # ENTRY_CEILING, where the pairs are coded as ints
+    rng = random.Random(29)
+    big = mu.ENTRY_CEILING
+    mats = [rand_skew(rng, rng.randint(0, 9), rng.choice((1, 2))) for _ in range(150)]
+    mats += [rand_skew(rng, rng.randint(2, 7), big) for _ in range(10)]
+    for _ in range(60):  # entries -2..2 with +-2 made big, so that cells still split
+        B = rand_skew(rng, rng.randint(2, 8), 2)
+        made_big = {2: rng.choice((big, big - 1))}
+        made_big[-2] = -made_big[2]
+        mats.append(mu.from_edges(B.n, [(i, j, made_big.get(B[i, j], B[i, j]))
+                                        for i, j in itertools.combinations(range(B.n), 2)]))
+    mats += [mu.from_edges(4, [(0, 1, big), (1, 2, big), (2, 3, -big), (3, 0, big - 1)]),
+             mu.from_edges(3, [(0, 1, big), (1, 2, -big)]), mu.zero_matrix(5)]
+    for B in mats:
+        n = B.n
+        colors = plain_refine(B.rows, [0] * n)
+        for _ in range(3):
+            cells = [c for c in set(colors) if colors.count(c) > 1]
+            if not cells:
+                break
+            c = rng.choice(cells)
+            v = rng.choice([v for v in range(n) if colors[v] == c])
+            start = [2 * c for c in colors]
+            start[v] -= 1
+            colors = mu._refine(B.rows, start)
+            assert colors == plain_refine(B.rows, start)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        coarse = [rng.randrange(-1, 3) for _ in range(n)]
+        for start in (perm, [2 * c - (c == 0) for c in perm], [-5 * c for c in perm], coarse):
+            assert mu._refine(B.rows, start) == plain_refine(B.rows, start)
+
+
+def test_entries_bounded_by_matches_the_plain_check():
+    rng = random.Random(41)
+    mats = [rand_skew(rng, rng.randint(0, 7), rng.choice((0, 1, 2, 3))) for _ in range(200)]
+    mats += [mu.zero_matrix(0), mu.zero_matrix(1), mu.zero_matrix(3),
+             mu.from_edges(2, [(0, 1, mu.ENTRY_CEILING)]), mu.from_edges(3, [(2, 0, mu.ENTRY_CEILING + 1)])]
+    for B in mats:
+        for bound in (-1, 0, 1, 2, 3, mu.ENTRY_CEILING):
+            assert B.entries_bounded_by(bound) == all(abs(x) <= bound for row in B.rows for x in row)
+
+
 def test_canonical_form_idempotent_and_discrete():
     B = mu.make_quiver("Gamma2", 2, 1)
     C = mu.canonical_form(B)
@@ -389,6 +448,23 @@ def test_recognize_refuses_a_class_beyond_its_size(monkeypatch):
     assert mu.recognize_type(far) == "Unknown"
 
 
+def test_recognize_drops_candidates_of_another_rank(monkeypatch):
+    # T(2,3,7) and T(2,5,5) have rank 10 and ExtAffE(8), the one candidate on
+    # 10 vertices, rank 8: no search is needed to answer "Unknown"
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(mu, "explore_exchange", no_search)
+    ext = mu.make_quiver("ExtAffE", 8)
+    for arms in ([1, 2, 6], [1, 4, 4]):
+        B = mu._tree_from_arms(arms)
+        assert (B.n, mu.rank(B), mu.rank(ext)) == (10, 10, 8)
+        assert mu.recognize_type(B) == "Unknown"
+    # a candidate of B's rank is still searched for
+    with pytest.raises(AssertionError, match="searched"):
+        mu.recognize_type(mu._tree_from_arms([2, 2, 3]))
+
+
 def test_canonical_labeling_reaches_the_form():
     rng = random.Random(17)
     mats = [rand_skew(rng, rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(200)]
@@ -398,6 +474,38 @@ def test_canonical_labeling_reaches_the_form():
         assert sorted(order) == list(range(B.n))
         assert form.rows == tuple(tuple(B[i, j] for j in order) for i in order)
         assert form.rows == mu.canonical_form(B).rows == mu.canonical_labeling(relabel(B, rng))[0].rows
+
+
+def disjoint_union(*parts):
+    n = sum(B.n for B in parts)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for B in parts:
+        for i, row in enumerate(B.rows):
+            rows[at + i][at:at + B.n] = row
+        at += B.n
+    return mu.ExchangeMatrix.from_rows(rows)
+
+
+def test_canonical_labeling_pinned():
+    # forms and orders recorded with the refinement that ranked every
+    # vertex's signature on every pass: each member of three classes mutated
+    # at every index and relabeled, highly symmetric matrices on which the
+    # search branches deeply, and the smallest sizes
+    rng = random.Random(2014)
+    battery = []
+    for B in (mu.make_quiver("E", 6), mu.make_quiver("E", 7), _b_t0((0, [4], 2))):
+        for M in mu.mutation_class(B).matrices:
+            battery += [relabel(mu.mutate(M, k), rng) for k in range(M.n)]
+    a2 = mu.make_quiver("A", 2)
+    cycle = mu.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    battery += [disjoint_union(*[a2] * c) for c in range(1, 6)]
+    battery += [disjoint_union(cycle, cycle, cycle), mu._tree_from_arms([2] * 6)]
+    battery += [mu.zero_matrix(0), mu.zero_matrix(1), mu.zero_matrix(2), a2]
+    assert len(battery) == 4347
+    labelings = [[form.rows, order] for form, order in map(mu.canonical_labeling, battery)]
+    digest = hashlib.sha256(json.dumps(labelings).encode()).hexdigest()
+    assert digest == "f970846f493a947e9b3e4545a270a14dfac22c31c945a539e9303f025866b7be"
 
 
 def all_moves(M, bound):
