@@ -167,7 +167,7 @@ def test_refine_matches_reference_on_search_colorings():
                 break
             c = rng.choice(cells)
             v = rng.choice([v for v in range(n) if colors[v] == c])
-            start = [2 * c for c in colors]
+            start = [2 * x for x in colors]
             start[v] -= 1
             colors = mu._refine(B.rows, start)
             assert colors == plain_refine(B.rows, start)
