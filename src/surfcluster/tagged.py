@@ -75,20 +75,27 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
     its plain radius, else PLAIN (only the plain radius or both radii
     remain). Fold and loop labels are swapped wherever that sign is NOTCHED,
     to restore the convention. Both relabelings are applied to the flipped
-    slot table in one pass before it is validated, once.
+    slot table in one pass (`_flip_slots`) before it is validated, once.
     """
     base = T.base
     if not base.is_arc(k):
         raise ArcNotPresent(f"{k} is not an arc of this tagged triangulation")
-    signs = {v: s or PLAIN for v, s in T.signatures}
-    flip_edge = k
-    a = base.edges.index(k)
-    p = a - a % 3
-    if base.edges.index(k, a + 1) < p + 3:  # k is the plain radius of a self-folded triangle
-        _, flip_edge, corner = next(_folds(base.edges[p:p + 3]))
-        signs[base.verts[p + corner]] = NOTCHED
+    edges, verts, signatures = _flip_slots(base.edges, base.verts, T.signatures, k)
+    return TaggedTriangulation(IdealTriangulation(base.surface, edges, verts), signatures)
 
-    edges, verts = _flip_table(base.edges, base.verts, flip_edge)
+
+def _flip_slots(edges, verts, signatures, k: int):
+    """(edges, verts, signatures) of `tagged_flip` of arc k, from the same
+    three of T; not validated."""
+    signs = {v: s or PLAIN for v, s in signatures}
+    flip_edge = k
+    a = edges.index(k)
+    p = a - a % 3
+    if edges.index(k, a + 1) < p + 3:  # k is the plain radius of a self-folded triangle
+        _, flip_edge, corner = next(_folds(edges[p:p + 3]))
+        signs[verts[p + corner]] = NOTCHED
+
+    edges, verts = _flip_table(edges, verts, flip_edge)
     # the new diagonal must carry k; the surviving old fold becomes the loop's label
     perm = {flip_edge: k, k: flip_edge} if flip_edge != k else {}
     enclosed = set()
@@ -99,9 +106,7 @@ def tagged_flip(T: TaggedTriangulation, k: int) -> TaggedTriangulation:
             perm[fold], perm[loop] = perm.get(loop, loop), perm.get(fold, fold)
     if perm:
         edges = [perm.get(e, e) for e in edges]
-    M2 = IdealTriangulation(base.surface, edges, verts)
-    sig2 = tuple(sorted((v, 0 if v in enclosed else signs[v]) for v in signs))
-    return TaggedTriangulation(M2, sig2)
+    return edges, verts, tuple(sorted((v, 0 if v in enclosed else signs[v]) for v in signs))
 
 
 def canonical_key(T: TaggedTriangulation) -> tuple:
@@ -141,13 +146,36 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
     Each edge is flipped from one end only (`_explore.explore_exchange`):
     the flip is an involution and commutes with relabeling, and the key
     numbering matches two maps under one key arc for arc.
+
+    The search flips and keys raw tables, (edges, verts, signatures) triples
+    (`_flip_slots`, then `trimap._table_key`), and builds only the nodes it
+    admits, each once, through the validating constructor: a node when it
+    is expanded, before its own flips, and the nodes a truncated search
+    never expanded at the end. So every returned node is validated, and no
+    unvalidated table is ever flipped. A successor whose key is already held
+    is never built. That loses no check: equal keys are equal full
+    serializations, with the signatures, so the table is an arc relabeling,
+    with triangles reordered and rotated, of the node admitted under that
+    key, and `validate`'s checks (slot counts, the link rule, the boundary
+    components) do not change under relabeling.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
+    base = T0.base
+    surface, n, c = base.surface, base.num_arcs, base.num_boundary
+    start = base.edges, base.verts, T0.signatures
+    nodes = [T0]  # built nodes, in admission order
 
-    def moves(T, skip):
-        return ((tagged_flip(T, k), k) for k in range(T.num_arcs) if k not in skip)
+    def build(t):
+        edges, verts, signatures = t
+        return TaggedTriangulation(IdealTriangulation(surface, edges, verts), signatures)
 
-    nodes, keys, edges, complete = explore_exchange(
-        T0, moves, lambda T: trimap._numbered_key(T.base, T.signatures), max_nodes)
+    def moves(t, skip):
+        if t is not start:
+            nodes.append(build(t))
+        return ((_flip_slots(*t, k), k) for k in range(n) if k not in skip)
+
+    tables, keys, edges, complete = explore_exchange(
+        start, moves, lambda t: trimap._table_key(t[0], t[1], n, c, t[2]), max_nodes)
+    nodes += map(build, tables[len(nodes):])
     return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))

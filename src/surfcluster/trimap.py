@@ -532,9 +532,15 @@ def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, list[int]]:
     winning serialization (the first start on ties). Two maps with equal
     keys are matched, arc for arc, by equal numbers.
     """
-    n, edges, verts = T.num_arcs, T.edges, T.verts
+    return _table_key(T.edges, T.verts, T.num_arcs, T.num_boundary, extra)
+
+
+def _table_key(edges, verts, n: int, c: int, extra=()) -> tuple[tuple, list[int]]:
+    """`_numbered_key` of the slot table of a map with n arcs and c boundary
+    segments. The tagged search keys its raw flipped tables here, before it
+    builds any of them."""
     partner = _partners(edges, n)
-    if T.num_boundary:
+    if c:
         starts = [edges.index(n)]
     else:
         starts = [s for s, v in enumerate(verts) if v == 0]

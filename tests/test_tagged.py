@@ -331,8 +331,9 @@ def test_one_end_search_matches_all_moves_search(T0, cap):
 def test_one_end_search_flip_counts(desc, cap, counts, monkeypatch):
     # (nodes, edges, tagged flips): the complete D6 search flips each edge once
     flips = []
-    flip = tg.tagged_flip
-    monkeypatch.setattr(tg, "tagged_flip", lambda T, k: flips.append(k) or flip(T, k))
+    flip = tg._flip_slots
+    monkeypatch.setattr(tg, "_flip_slots",
+                        lambda edges, verts, sigs, k: flips.append(k) or flip(edges, verts, sigs, k))
     G = graph(desc, max_nodes=cap)
     assert (len(G.nodes), len(G.edges), len(flips)) == counts
 
@@ -371,3 +372,32 @@ def test_cluster_determines_tagged_triangulation(desc, cap):
     T0 = start(desc)
     nodes, _, _, complete = explore((cl.Seed.initial(tg.b_matrix(T0)), T0), moves, key, cap)
     assert len(nodes) == cap and not complete and rearrivals
+
+
+@pytest.mark.parametrize("desc, cap, nodes", [
+    ((0, [6], 1), 1000, 672), ((0, [], 5), 600, 600), ((1, [], 2), 1000, 32), ((0, [3], 1), 1000, 14),
+])
+def test_search_validates_each_node_once(desc, cap, nodes, monkeypatch):
+    # the start is validated when it is built and every other node when the
+    # search admits it; flips that land on a held key build nothing
+    calls = []
+    validate = tm.IdealTriangulation.validate
+    monkeypatch.setattr(tm.IdealTriangulation, "validate", lambda self: calls.append(1) or validate(self))
+    G = graph(desc, max_nodes=cap)
+    assert len(G.nodes) == len(calls) == nodes
+
+
+def test_broken_flip_surfaces(monkeypatch):
+    # a slot-level flip that swaps two vertex entries breaks the link rule,
+    # and the search raises instead of returning the broken node
+    T0 = start((0, [6], 0))
+    flip_table = tg._flip_table
+
+    def broken(edges, verts, k):
+        edges, verts = flip_table(edges, verts, k)
+        verts[0], verts[1] = verts[1], verts[0]
+        return edges, verts
+
+    monkeypatch.setattr(tg, "_flip_table", broken)
+    with pytest.raises(tm.InvalidTriangulation):
+        tg.exchange_graph_bfs(T0, max_nodes=100)
