@@ -7,14 +7,18 @@ from __future__ import annotations
 from operator import itemgetter
 
 
-def explore(start, moves, key, limit):
+def explore(start, moves, key, limit, edges=None):
     """Breadth-first search from `start`; returns (nodes, keys, edges, complete).
 
     `moves(node)` yields the node's successors in move order and `key(node)`
     identifies nodes: the first node found under a key represents it. Nodes
     are admitted in FIFO discovery order and numbered by admission; `keys`
-    holds their keys in the same order, and `edges` is the sorted list of
-    index pairs (i, j), i < j, of distinct nodes joined by a move.
+    holds their keys in the same order.
+
+    Edges are recorded only for a caller that passes a set as `edges`: the
+    index pairs (i, j), i < j, of distinct nodes joined by a move go into
+    it, and it comes back as a sorted list. Without one, `edges` is None, and
+    the search builds no pairs.
 
     Truncation: the search ends at the first refused successor, which is
     either a new key while `limit` nodes are held or a move that yields
@@ -23,30 +27,34 @@ def explore(start, moves, key, limit):
     """
     nodes = [start]
     index = {key(start): 0}
-    edges = set()
+
+    def result(complete):
+        return nodes, list(index), None if edges is None else sorted(edges), complete
+
     for i, node in enumerate(nodes):  # the queue: admissions extend it
         for succ in moves(node):
             if succ is None:
-                return nodes, list(index), sorted(edges), False
+                return result(False)
             k = key(succ)
             j = index.get(k)
             if j is None:
                 if len(nodes) >= limit:
-                    return nodes, list(index), sorted(edges), False
+                    return result(False)
                 j = index[k] = len(nodes)
                 nodes.append(succ)
-            if j != i:
+            if edges is not None and j != i:
                 edges.add((min(i, j), max(i, j)))
-    return nodes, list(index), sorted(edges), True
+    return result(True)
 
 
-def explore_exchange(start, moves, key, limit):
+def explore_exchange(start, moves, key, limit, edges=None):
     """`explore` over an exchange graph, making each edge's move from one end.
 
     `moves(node, skip)` yields (successor, r) in move order without the
     labels in `skip`, r being the successor's label for the move back, or
     None for a refused move. `key(node)` returns (key, names): two nodes
     under one key are matched, label for label, by equal names[label].
+    `edges` is `explore`'s collector, passed through.
 
     Moves are involutions that commute with the matching, and whether one is
     refused depends only on where it lands. When a move of X reaches S under
@@ -67,12 +75,12 @@ def explore_exchange(start, moves, key, limit):
                 succ, r = move
                 k, names = key(succ)
                 if k != here:
-                    first, done = back.setdefault(k, (names, set()))
+                    first, done = back.get(k) or back.setdefault(k, (names, set()))
                     done.add(first.index(names[r]))
                 move = succ, k
             yield move
 
-    items, keys, edges, complete = explore((start, key(start)[0]), expand, itemgetter(1), limit)
+    items, keys, edges, complete = explore((start, key(start)[0]), expand, itemgetter(1), limit, edges)
     return [node for node, _ in items], keys, edges, complete
 
 

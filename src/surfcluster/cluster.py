@@ -19,7 +19,9 @@ ids. Within one call it divides once per exchange: the quotient depends only
 on x_k and the multiset of pairs (x_i, b_ik), b_ik != 0, so it is memoized
 under those ids. A seed's matrix is made from its parent's when the seed is
 expanded, so refused successors never mutate a matrix. The census makes
-each exchange from one end only (`_explore.explore_exchange`).
+each exchange from one end only (`_explore.explore_exchange`) and asks its
+search for no edges: it reports variables and a seed count, not the
+exchange graph.
 """
 
 from __future__ import annotations

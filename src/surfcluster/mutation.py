@@ -9,9 +9,10 @@ input toward the catalog's exceptional quivers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
-from operator import add, attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, neg
 
 from ._explore import explore, explore_exchange
 
@@ -161,6 +162,7 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     # that is b_ij + |b_ik| times the positive (b_ik > 0) or negative
     # (b_ik < 0) part of b_kj, so a row with b_ik = 0 stays as it is; row
     # and column k change sign. The result is skew-symmetric by construction.
+    # A row with |b_ik| = 1, the common case, adds the part as it is.
     row_k = B.rows[k]
     plus = [x if x > 0 else 0 for x in row_k]
     minus = [x if x < 0 else 0 for x in row_k]
@@ -168,11 +170,14 @@ def mutate(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     for i, row in enumerate(B.rows):
         c = row[k]
         if i == k:
-            row = tuple(-x for x in row)
+            row = tuple(map(neg, row))
         elif c:
             part = plus if c > 0 else minus
-            a = abs(c)
-            new = [x + a * y for x, y in zip(row, part)]
+            if c == 1 or c == -1:
+                new = list(map(add, row, part))
+            else:
+                a = abs(c)
+                new = [x + a * y for x, y in zip(row, part)]
             new[k] = -c
             row = tuple(new)
         rows.append(row)
@@ -630,6 +635,20 @@ def _candidates(n: int):
     return [(kind, k) for kind, k in (("E", n), ("AffineE", n - 1), ("ExtAffE", n - 2)) if k in (6, 7, 8)]
 
 
+@functools.cache
+def _catalog(n: int):
+    """(tag, rank, canonical rows) of each candidate with n vertices.
+
+    These are catalog constants, built once per process on the first call
+    for n (not at import); no input of `recognize_type` is kept.
+    """
+    table = []
+    for tag in _candidates(n):
+        Q = make_quiver(*tag)
+        table.append((tag, rank(Q), canonical_form(Q).rows))
+    return tuple(table)
+
+
 def recognize_type(B: ExchangeMatrix) -> str:
     """Name B's mutation type, such as "A(3)", "AffineA(2,1)" or "ExtAffE(6)".
 
@@ -660,12 +679,11 @@ def recognize_type(B: ExchangeMatrix) -> str:
         return surface.catalog_type(surface.classify(s).growth)
     if not B.entries_bounded_by(_CLASS_ENTRY_BOUND):
         return "Unknown"
-    catalog = {tag: make_quiver(*tag) for tag in _candidates(B.n)}
     r = rank(B)
-    tags = [tag for tag, Q in catalog.items() if rank(Q) == r]
-    if not tags:
+    kept = [(tag, rows) for tag, q_rank, rows in _catalog(B.n) if q_rank == r]
+    if not kept:
         return "Unknown"
-    known = {canonical_form(catalog[kind, k]).rows: f"{kind}({k})" for kind, k in tags}
+    known = {rows: f"{kind}({k})" for (kind, k), rows in kept}
     hit = []
 
     def moves(M, skip):
@@ -678,5 +696,5 @@ def recognize_type(B: ExchangeMatrix) -> str:
     start = canonical_form(B)
     if start.rows in known:
         return known[start.rows]
-    explore_exchange(start, moves, _key, max(_CLASS_SIZES[tag] for tag in tags))
+    explore_exchange(start, moves, _key, max(_CLASS_SIZES[tag] for tag, _ in kept))
     return hit[0] if hit else "Unknown"

@@ -176,6 +176,6 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
         return ((_flip_slots(*t, k), k) for k in range(n) if k not in skip)
 
     tables, keys, edges, complete = explore_exchange(
-        start, moves, lambda t: trimap._table_key(t[0], t[1], n, c, t[2]), max_nodes)
+        start, moves, lambda t: trimap._table_key(t[0], t[1], n, c, t[2]), max_nodes, edges=set())
     nodes += map(build, tables[len(nodes):])
     return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))

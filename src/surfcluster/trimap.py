@@ -589,5 +589,5 @@ def flip_graph_bfs(T0: IdealTriangulation, max_nodes: int = 1000, labeled: bool 
         return (flip(T, k) for k in T.arcs() if is_flippable(T, k))
 
     key = IdealTriangulation.normal_form if labeled else canonical_key
-    nodes, _, edges, complete = explore(T0, moves, key, max_nodes)
+    nodes, _, edges, complete = explore(T0, moves, key, max_nodes, edges=set())
     return nodes, edges, not complete

@@ -18,6 +18,15 @@ BATTERY_SLOW = [
 ]
 
 
+def same_without_edges(search, *args):
+    """Run a search of `_explore` with and without an edges collector: the
+    nodes, keys and completion agree, and only the collector gets edges."""
+    plain = search(*args)
+    collected = search(*args, edges=set())
+    assert plain[2] is None and collected[2] == sorted(set(collected[2]))
+    assert (plain[0], plain[1], plain[3]) == (collected[0], collected[1], collected[3])
+
+
 @pytest.fixture(scope="session")
 def battery_triangulations():
     """descriptor -> (surface, list of triangulations reached by flips)."""

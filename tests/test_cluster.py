@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import same_without_edges
 from surfcluster import cluster as cl, mutation as mu
 from surfcluster._explore import explore
 
@@ -203,9 +204,9 @@ def test_census_without_the_parent_move_keeps_the_search(monkeypatch, B):
 
     searches = []
     search = cl.explore_exchange
-    monkeypatch.setattr(cl, "explore_exchange", lambda *args: searches.append(search(*args)) or searches[-1])
+    monkeypatch.setattr(cl, "explore_exchange", lambda *args: searches.append(search(*args, edges=set())) or searches[-1])
     for cap in {KRONECKER: (5, 12, 20), DOUBLED_PATH: (5, 10, 16)}.get(B, (3, 10, 40, 200, 2000)):
-        seeds, _, edges, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
+        seeds, _, edges, complete = explore(cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap, edges=set())
         census = cl.all_cluster_variables(B, cap)
         nodes, _, census_edges, _ = searches[-1]
         assert [m if k is None else mu.mutate(m, k) for _, m, k in nodes] == [s.matrix for s in seeds]
@@ -213,6 +214,30 @@ def test_census_without_the_parent_move_keeps_the_search(monkeypatch, B):
         assert (census.seeds_seen, census.complete) == (len(seeds), complete)
         expected = sorted({p for s in seeds for p in s.cluster}, key=cl.LaurentPoly._packed_key)
         assert census.variables == tuple(expected)
+
+
+@pytest.mark.parametrize("B, cap", [
+    (mu.make_quiver("D", 6), 2000), (mu.make_quiver("A", 7), 2000), (KRONECKER, 12),
+], ids=["D6", "A7", "Kronecker-cap12"])
+def test_census_search_builds_no_edges(monkeypatch, B, cap):
+    # the census asks its search for no edges; a collector would change no
+    # node, key or completion of that search or of the all-moves one
+    def every_move(s):
+        return (cl.mutate_seed(s, k) for k in range(B.n))
+
+    searches = []
+    search = cl.explore_exchange
+
+    def recorded(*args):
+        searches.append((args, search(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(cl, "explore_exchange", recorded)
+    cl.all_cluster_variables(B, cap)
+    (args, (_, _, edges, _)), = searches
+    assert edges is None
+    same_without_edges(search, *args)
+    same_without_edges(explore, cl.Seed.initial(B), every_move, cl.Seed.dedup_key, cap)
 
 
 @pytest.mark.parametrize("B,divisions,seeds", [

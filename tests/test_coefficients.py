@@ -48,7 +48,7 @@ def census(B, n, limit=1000):
     """(seeds, edges, complete) of the seed search over the first n directions."""
     seeds, _, edges, complete = explore(
         cl.Seed.initial(B), lambda s: (cl.mutate_seed(s, k) for k in range(n)),
-        lambda s: mutable_key(s.cluster, n), limit)
+        lambda s: mutable_key(s.cluster, n), limit, edges=set())
     return seeds, edges, complete
 
 

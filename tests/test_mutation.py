@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import same_without_edges
 from surfcluster import mutation as mu
 from surfcluster._explore import explore
 
@@ -465,6 +466,20 @@ def test_recognize_drops_candidates_of_another_rank(monkeypatch):
         mu.recognize_type(mu._tree_from_arms([2, 2, 3]))
 
 
+def test_recognize_builds_the_catalog_once(monkeypatch):
+    # the first call at n = 8 builds the candidates' quivers, ranks and forms;
+    # a second call that reaches the search builds no catalog quiver
+    B = mu._tree_from_arms([2, 2, 3])
+    mu._catalog.cache_clear()
+    built = []
+    make_quiver = mu.make_quiver
+    monkeypatch.setattr(mu, "make_quiver", lambda *tag: built.append(tag) or make_quiver(*tag))
+    assert mu.recognize_type(B) == "Unknown"
+    assert built == [("E", 8), ("AffineE", 7), ("ExtAffE", 6)]
+    assert mu.recognize_type(B) == "Unknown"
+    assert len(built) == 3
+
+
 def test_canonical_labeling_reaches_the_form():
     rng = random.Random(17)
     mats = [rand_skew(rng, rng.randint(0, 9), rng.choice((1, 2, 3))) for _ in range(200)]
@@ -517,7 +532,7 @@ def all_moves(M, bound):
 
 
 def class_search(B, cap, search, moves, key):
-    nodes, keys, edges, complete = search(mu.canonical_form(B), moves, key, cap)
+    nodes, keys, edges, complete = search(mu.canonical_form(B), moves, key, cap, edges=set())
     return [M.rows for M in nodes], keys, edges, complete
 
 
@@ -551,6 +566,16 @@ def test_one_end_class_search_matches_all_moves_search(B, cap):
     assert one_end == class_search(B, cap, explore, lambda M: all_moves(M, mu.ENTRY_CEILING), lambda M: M.rows)
     cls = mu.mutation_class(B, cap)
     assert ([M.rows for M in cls.matrices], cls.complete) == (sorted(one_end[0]), one_end[3])
+
+
+@pytest.mark.parametrize("B, cap", [c[:2] for c in CLASS_ORACLE_MATRICES], ids=[c[2] for c in CLASS_ORACLE_MATRICES])
+def test_class_searches_without_edges(B, cap):
+    # the class searches ask for no edges; a collector changes no node, key
+    # or completion of the one-end search or of the all-moves one
+    start = mu.canonical_form(B)
+    same_without_edges(mu.explore_exchange, start, lambda M, skip: mu._mutations(M, mu.ENTRY_CEILING, skip),
+                       mu._key, cap)
+    same_without_edges(explore, start, lambda M: all_moves(M, mu.ENTRY_CEILING), lambda M: M.rows, cap)
 
 
 def test_one_end_search_matches_all_moves_on_random_trees(monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import BATTERY
+from conftest import BATTERY, same_without_edges
 from surfcluster import cluster as cl, mutation as mu, surface as sf, tagged as tg, trimap as tm
 from surfcluster._explore import explore
 
@@ -284,7 +284,7 @@ def all_moves_search(T0, cap):
     def moves(T):
         return (tg.tagged_flip(T, k) for k in range(T.num_arcs))
 
-    nodes, keys, edges, complete = explore(T0, moves, tg.canonical_key, cap)
+    nodes, keys, edges, complete = explore(T0, moves, tg.canonical_key, cap, edges=set())
     return nodes, keys, edges, not complete
 
 
@@ -320,6 +320,20 @@ def test_one_end_search_matches_all_moves_search(T0, cap):
     assert list(G.keys) == keys
     assert list(G.edges) == edges
     assert G.truncated is truncated
+
+
+@pytest.mark.parametrize("T0, cap", [c[:2] for c in ORACLE_CASES], ids=[c[2] for c in ORACLE_CASES])
+def test_tagged_searches_without_edges(T0, cap, monkeypatch):
+    # the search of `exchange_graph_bfs`, captured, and the all-moves search
+    # give the same nodes, keys and completion with and without a collector
+    searches = []
+    search = tg.explore_exchange
+    monkeypatch.setattr(tg, "explore_exchange", lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    tg.exchange_graph_bfs(T0, max_nodes=cap)
+    (args,) = searches
+    same_without_edges(search, *args)
+    same_without_edges(explore, T0, lambda T: (tg.tagged_flip(T, k) for k in range(T.num_arcs)),
+                       tg.canonical_key, cap)
 
 
 @pytest.mark.parametrize("desc, cap, counts", [
