@@ -570,8 +570,8 @@ def test_one_end_class_search_matches_all_moves_search(B, cap):
 
 @pytest.mark.parametrize("B, cap", [c[:2] for c in CLASS_ORACLE_MATRICES], ids=[c[2] for c in CLASS_ORACLE_MATRICES])
 def test_class_searches_without_edges(B, cap):
-    # the class searches ask for no edges; a collector changes no node, key
-    # or completion of the one-end search or of the all-moves one
+    # a collector changes no node, key or completion of the one-end class
+    # search or of the all-moves one
     start = mu.canonical_form(B)
     same_without_edges(mu.explore_exchange, start, lambda M, skip: mu._mutations(M, mu.ENTRY_CEILING, skip),
                        mu._key, cap)
