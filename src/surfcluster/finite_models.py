@@ -10,7 +10,6 @@ enumeration are closed-form.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from ._explore import explore
@@ -209,6 +208,13 @@ def compatible(a: ModelArc, b: ModelArc) -> bool:
     return True
 
 
+# the most compatible sets (faces of the cluster complex, the empty set
+# included) that `enumerate_clusters` holds: polygon m=13 has 2,646,723 and
+# punctured m=9 1,088,289; polygon m=14 (13,648,869) and punctured m=10
+# (6,036,473, over 60 s and 1.2 GiB uncapped) are refused
+FACE_CEILING = 3_000_000
+
+
 def enumerate_clusters(model: Model):
     """All maximal compatible sets (each of size rank) plus the flip graph.
 
@@ -216,11 +222,11 @@ def enumerate_clusters(model: Model):
     arc-tuples, edges joins clusters sharing all but one arc. Each arc of a
     cluster flips in exactly one way, so each rank - 1 subset of a cluster
     (a facet) lies in exactly two clusters, which is asserted; the edges are
-    read off the facets.
+    read off the facets. A model with more than FACE_CEILING compatible sets
+    raises ValueError.
     """
     arcs = enumerate_tagged_arcs(model)
     n = model.rank
-    idx = {a: i for i, a in enumerate(arcs)}
     compat = [[False] * len(arcs) for _ in arcs]
     for i, a in enumerate(arcs):
         for j in range(i + 1, len(arcs)):
@@ -228,21 +234,19 @@ def enumerate_clusters(model: Model):
                 compat[i][j] = compat[j][i] = True
 
     def grow(chosen):  # each compatible set once, grown in index order
-        if len(chosen) < n:
-            for nxt in range(chosen[-1] + 1 if chosen else 0, len(arcs)):
-                if all(compat[c][nxt] for c in chosen):
-                    yield chosen + (nxt,)
+        for nxt in range(chosen[-1] + 1 if chosen else 0, len(arcs)):
+            if all(compat[c][nxt] for c in chosen):
+                yield chosen + (nxt,)
 
-    faces = explore((), grow, lambda chosen: chosen, math.inf)[0]
+    faces, _, _, complete = explore((), grow, lambda chosen: chosen, FACE_CEILING)
+    if not complete:
+        raise ValueError(f"the {model.kind} model with m={model.m} has more than "
+                         f"{FACE_CEILING} compatible arc sets")
+    # purity: a compatible set of rank + 1 arcs would be grown from its first
+    # rank arcs, so no face larger than the rank means every cluster is maximal
+    if max(map(len, faces)) > n:
+        raise AssertionError("compatible set larger than the rank")
     clusters = [tuple(arcs[i] for i in chosen) for chosen in faces if len(chosen) == n]
-    # purity: no compatible set may exceed the rank; the growth above stops
-    # at sets of that exact size, so check maximality explicitly
-    for cl in clusters:
-        chosen = [idx[a] for a in cl]
-        for other in range(len(arcs)):
-            if other not in chosen and all(compat[c][other] for c in chosen):
-                raise AssertionError("compatible set larger than the rank")
-
     clusters = tuple(sorted(clusters))
     facets: dict[tuple[ModelArc, ...], list[int]] = {}
     for ci, cl in enumerate(clusters):

@@ -113,16 +113,6 @@ def from_edges(n: int, edges) -> ExchangeMatrix:
     return ExchangeMatrix.from_rows(rows)
 
 
-def quiver_edges(B: ExchangeMatrix) -> list[tuple[int, int, int]]:
-    """Positive-entry arrow list (i, j, w), sorted."""
-    out = []
-    for i in range(B.n):
-        for j in range(B.n):
-            if B[i, j] > 0:
-                out.append((i, j, B[i, j]))
-    return out
-
-
 def quiver_from_json(data: dict) -> ExchangeMatrix:
     """Read outside JSON: an integer n, 0 <= n <= QUIVER_MAX_N, and integer
     edges [i, j] or [i, j, w], 0 <= i, j < n, i != j."""

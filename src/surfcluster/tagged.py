@@ -147,35 +147,27 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
     the flip is an involution and commutes with relabeling, and the key
     numbering matches two maps under one key arc for arc.
 
-    The search flips and keys raw tables, (edges, verts, signatures) triples
-    (`_flip_slots`, then `trimap._table_key`), and builds only the nodes it
-    admits, each once, through the validating constructor: a node when it
-    is expanded, before its own flips, and the nodes a truncated search
-    never expanded at the end. So every returned node is validated, and no
-    unvalidated table is ever flipped. A successor whose key is already held
-    is never built. That loses no check: equal keys are equal full
-    serializations, with the signatures, so the table is an arc relabeling,
-    with triangles reordered and rotated, of the node admitted under that
-    key, and `validate`'s checks (slot counts, the link rule, the boundary
-    components) do not change under relabeling.
+    The search flips and keys raw (edges, verts, signatures) tables
+    (`_flip_slots`, `trimap._table_key`). After it, `T0` and each later
+    admitted table become the nodes, built once each through the validating
+    constructor; a table under a key already held is never built. That
+    loses no check: equal keys are equal full serializations, signatures
+    included, so such a table is an arc relabeling (triangles reordered and
+    rotated) of the node admitted under its key, and `validate`'s checks do
+    not change under relabeling. A broken flip is caught when the search
+    ends, by the build's `InvalidTriangulation`; on a punctured surface,
+    flipping the broken table further may first raise inside `_flip_slots`.
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be positive")
     base = T0.base
     surface, n, c = base.surface, base.num_arcs, base.num_boundary
-    start = base.edges, base.verts, T0.signatures
-    nodes = [T0]  # built nodes, in admission order
-
-    def build(t):
-        edges, verts, signatures = t
-        return TaggedTriangulation(IdealTriangulation(surface, edges, verts), signatures)
 
     def moves(t, skip):
-        if t is not start:
-            nodes.append(build(t))
         return ((_flip_slots(*t, k), k) for k in range(n) if k not in skip)
 
-    tables, keys, edges, complete = explore_exchange(
-        start, moves, lambda t: trimap._table_key(t[0], t[1], n, c, t[2]), max_nodes, edges=set())
-    nodes += map(build, tables[len(nodes):])
+    tables, keys, edges, complete = explore_exchange((base.edges, base.verts, T0.signatures), moves,
+                                                     lambda t: trimap._table_key(t[0], t[1], n, c, t[2]),
+                                                     max_nodes, edges=set())
+    nodes = [T0] + [TaggedTriangulation(IdealTriangulation(surface, e, v), sigs) for e, v, sigs in tables[1:]]
     return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))

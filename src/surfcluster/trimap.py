@@ -524,21 +524,14 @@ def canonical_key(T: IdealTriangulation, extra=()) -> tuple:
     such a renaming carries each start set onto the other's. So keys agree
     exactly when one triangulation is an arc relabeling of the other.
     """
-    return _numbered_key(T, extra)[0]
-
-
-def _numbered_key(T: IdealTriangulation, extra=()) -> tuple[tuple, list[int]]:
-    """(canonical_key(T, extra), number): number[a] is arc a's number in the
-    winning serialization (the first start on ties). Two maps with equal
-    keys are matched, arc for arc, by equal numbers.
-    """
-    return _table_key(T.edges, T.verts, T.num_arcs, T.num_boundary, extra)
+    return _table_key(T.edges, T.verts, T.num_arcs, T.num_boundary, extra)[0]
 
 
 def _table_key(edges, verts, n: int, c: int, extra=()) -> tuple[tuple, list[int]]:
-    """`_numbered_key` of the slot table of a map with n arcs and c boundary
-    segments. The tagged search keys its raw flipped tables here, before it
-    builds any of them."""
+    """(canonical_key, number) of a slot table with n arcs and c boundary
+    segments; number[a] is arc a's number in the winning serialization (the
+    first start on ties), so arcs numbered alike match two maps with equal
+    keys, arc for arc. The tagged search keys its raw flipped tables here."""
     partner = _partners(edges, n)
     if c:
         starts = [edges.index(n)]

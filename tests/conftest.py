@@ -27,6 +27,16 @@ def same_without_edges(search, *args):
     assert (plain[0], plain[1], plain[3]) == (collected[0], collected[1], collected[3])
 
 
+def quiver_edges(B):
+    """Positive-entry arrow list (i, j, w) of an exchange matrix, sorted."""
+    out = []
+    for i in range(B.n):
+        for j in range(B.n):
+            if B[i, j] > 0:
+                out.append((i, j, B[i, j]))
+    return out
+
+
 @pytest.fixture(scope="session")
 def battery_triangulations():
     """descriptor -> (surface, list of triangulations reached by flips)."""

@@ -18,7 +18,7 @@ from surfcluster import (
     tagged as tg,
     trimap as tm,
 )
-from conftest import BATTERY, BATTERY_SLOW
+from conftest import BATTERY, BATTERY_SLOW, quiver_edges
 
 
 def _report(num, text):
@@ -291,7 +291,7 @@ def test_criterion_10_block_criterion(battery_triangulations):
 
     a22 = mu.make_quiver("AffineA", 2, 2)
     four = bl.BlockDecomposition(
-        4, tuple(bl.BlockPlacement("I", (i, j)) for i, j, _ in mu.quiver_edges(a22)))
+        4, tuple(bl.BlockPlacement("I", (i, j)) for i, j, _ in quiver_edges(a22)))
     bl.validate_decomposition(four)
     assert bl.assemble_matrix(four).rows == a22.rows
     assert bl.decompose(a22) is not None

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import quiver_edges
 from surfcluster import blocks as bl, mutation as mu, surface as sf, trimap as tm
 
 
@@ -185,7 +186,7 @@ def test_atilde22_witnesses():
     assert d is not None
     assert bl.assemble_matrix(d).rows == a22.rows
     # the alternative four-type-I witness assembles correctly too
-    edges = mu.quiver_edges(a22)
+    edges = quiver_edges(a22)
     four = bl.BlockDecomposition(4, tuple(bl.BlockPlacement("I", (i, j)) for i, j, _ in edges))
     bl.validate_decomposition(four)
     assert bl.assemble_matrix(four).rows == a22.rows

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from surfcluster import blocks, cli, mutation
+from surfcluster import blocks, cli, finite_models, mutation
 
 
 def run(argv):
@@ -364,6 +364,15 @@ def test_clusters_cmd():
     code, data = run(["clusters", "--model", "polygon", "--m", "3"])
     assert code == 1
     assert data["error"] == "excluded-model"
+
+
+def test_clusters_past_the_face_ceiling_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(finite_models, "FACE_CEILING", 45)
+    code, data = run(["clusters", "--model", "polygon", "--m", "6"])
+    assert (code, data["count"]) == (0, 14)
+    assert run(["clusters", "--model", "polygon", "--m", "7"]) == (2, "")
+    assert capsys.readouterr().err == \
+        "invalid input: the polygon model with m=7 has more than 45 compatible arc sets\n"
 
 
 def test_unreadable_path_exits_2(tmp_path, capsys):

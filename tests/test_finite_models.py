@@ -149,6 +149,15 @@ def test_enumerate_clusters_asserts_two_clusters_per_facet(monkeypatch):
         fm.enumerate_clusters(P5)
 
 
+def test_face_ceiling(monkeypatch):
+    # polygon m=6 has 45 compatible sets, the empty set included, and m=7 has 197
+    monkeypatch.setattr(fm, "FACE_CEILING", 45)
+    clusters, edges = fm.enumerate_clusters(fm.Model("polygon", 6))
+    assert (len(clusters), len(edges)) == (14, 21)
+    with pytest.raises(ValueError, match="more than 45 compatible arc sets"):
+        fm.enumerate_clusters(fm.Model("polygon", 7))
+
+
 def test_purity_all_maximal_sets_have_rank_size():
     import networkx as nx
 

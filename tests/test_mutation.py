@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import same_without_edges
+from conftest import quiver_edges, same_without_edges
 from surfcluster import mutation as mu
 from surfcluster._explore import explore
 
@@ -302,7 +302,7 @@ def test_recognize_type_basics():
 
 def test_quiver_json_roundtrip():
     B = mu.make_quiver("AffineA", 2, 2)
-    data = {"n": B.n, "edges": [list(e) for e in mu.quiver_edges(B)]}
+    data = {"n": B.n, "edges": [list(e) for e in quiver_edges(B)]}
     assert mu.quiver_from_json(data).rows == B.rows
     assert mu.ExchangeMatrix.from_json(B.to_json()).rows == B.rows
 
@@ -390,7 +390,8 @@ def referee_classes():
     ("ExtAffE", 6),
 ])
 def test_recognize_every_member(kind, k, referee_classes):
-    # each member searches on its own; nothing is kept between calls
+    # each member searches on its own: no input or search result is kept
+    # between calls, only the per-size catalog table (`mutation._catalog`)
     for M in referee_classes[kind, k].matrices:
         assert mu.recognize_type(M) == f"{kind}({k})"
 

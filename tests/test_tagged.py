@@ -229,12 +229,15 @@ def test_key_equality_is_arc_relabeling(desc):
         return tm.IdealTriangulation(M.surface, [e for es, _ in tris for e in es],
                                      [v for _, vs in tris for v in vs])
 
+    def table_key(M, extra=()):
+        return tm._table_key(M.edges, M.verts, M.num_arcs, M.num_boundary, extra)
+
     def check(nodes, key, parts, form, relabel):
         # the pool holds every node and one random relabeling of it, so both
         # outcomes of the comparison occur
         orbits = [{form(T, p) for p in perms} for T in nodes] * 2
         pool = nodes + [relabel(T, rng.choice(perms)) for T in nodes]
-        numbered = [tm._numbered_key(*parts(T)) for T in pool]
+        numbered = [table_key(*parts(T)) for T in pool]
         assert [k for k, _ in numbered] == [key(T) for T in pool]
         identity = range(s.rank)
         for i, T in enumerate(pool):
@@ -392,8 +395,9 @@ def test_cluster_determines_tagged_triangulation(desc, cap):
     ((0, [6], 1), 1000, 672), ((0, [], 5), 600, 600), ((1, [], 2), 1000, 32), ((0, [3], 1), 1000, 14),
 ])
 def test_search_validates_each_node_once(desc, cap, nodes, monkeypatch):
-    # the start is validated when it is built and every other node when the
-    # search admits it; flips that land on a held key build nothing
+    # the start is validated when it is built and every other admitted node
+    # once, when the search has ended; flips that land on a held key build
+    # nothing
     calls = []
     validate = tm.IdealTriangulation.validate
     monkeypatch.setattr(tm.IdealTriangulation, "validate", lambda self: calls.append(1) or validate(self))
