@@ -209,9 +209,9 @@ def compatible(a: ModelArc, b: ModelArc) -> bool:
 
 
 # the most compatible sets (faces of the cluster complex, the empty set
-# included) that `enumerate_clusters` holds: polygon m=13 has 2,646,723 and
-# punctured m=9 1,088,289; polygon m=14 (13,648,869) and punctured m=10
-# (6,036,473, over 60 s and 1.2 GiB uncapped) are refused
+# included) that `enumerate_clusters` holds. Polygon m=13 has 2,646,723 and
+# punctured m=9 1,088,289 (~18 s and ~9 s on a 2-vCPU VM); polygon m=14
+# (13,648,869) and punctured m=10 (6,036,473) are refused
 FACE_CEILING = 3_000_000
 
 

@@ -166,8 +166,8 @@ def exchange_graph_bfs(T0: TaggedTriangulation, max_nodes: int = 1000) -> FlipGr
     def moves(t, skip):
         return ((_flip_slots(*t, k), k) for k in range(n) if k not in skip)
 
-    tables, keys, edges, complete = explore_exchange((base.edges, base.verts, T0.signatures), moves,
-                                                     lambda t: trimap._table_key(t[0], t[1], n, c, t[2]),
-                                                     max_nodes, edges=set())
+    tables, keys, edges, complete = explore_exchange(
+        (base.edges, base.verts, T0.signatures), moves,
+        lambda t: trimap._table_key(t[0], t[1], n, c, t[2]), max_nodes, edges=set())
     nodes = [T0] + [TaggedTriangulation(IdealTriangulation(surface, e, v), sigs) for e, v, sigs in tables[1:]]
     return FlipGraph(tuple(nodes), tuple(edges), not complete, tuple(keys))

@@ -31,13 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-
-
 def unpack(rev: str, dest: Path) -> None:
     """`rev`'s tree in `dest` with the working tree's perfbench/ copied in."""
-    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
     archive = subprocess.Popen(["git", "archive", sha], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     if archive.wait() != 0:
