@@ -10,6 +10,7 @@ enumeration are closed-form.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from ._explore import explore
@@ -211,7 +212,8 @@ def compatible(a: ModelArc, b: ModelArc) -> bool:
 # the most compatible sets (faces of the cluster complex, the empty set
 # included) that `enumerate_clusters` holds. Polygon m=13 has 2,646,723 and
 # punctured m=9 1,088,289 (~18 s and ~9 s on a 2-vCPU VM); polygon m=14
-# (13,648,869) and punctured m=10 (6,036,473) are refused
+# (13,648,869) and punctured m=10 (6,036,473) are refused before any arc is
+# enumerated
 FACE_CEILING = 3_000_000
 
 
@@ -223,10 +225,19 @@ def enumerate_clusters(model: Model):
     cluster flips in exactly one way, so each rank - 1 subset of a cluster
     (a facet) lies in exactly two clusters, which is asserted; the edges are
     read off the facets. A model with more than FACE_CEILING compatible sets
-    raises ValueError.
+    raises ValueError, counted in closed form before any arc is enumerated.
     """
+    n, m = model.rank, model.m
+    count = 0
+    for k in range(n + 1):  # sets of k arcs, summed until past the ceiling
+        if model.kind == "polygon":  # k non-crossing diagonals (Kirkman-Cayley)
+            count += math.comb(n, k) * math.comb(m + k - 1, k) // (k + 1)
+        else:  # k-faces of the type D_n cluster complex
+            count += math.comb(n, k) * math.comb(n + k - 1, k) + math.comb(n - 2, k) * math.comb(n + k, k + 2)
+        if count > FACE_CEILING:
+            raise ValueError(f"the {model.kind} model with m={m} has more than "
+                             f"{FACE_CEILING} compatible arc sets")
     arcs = enumerate_tagged_arcs(model)
-    n = model.rank
     compat = [[False] * len(arcs) for _ in arcs]
     for i, a in enumerate(arcs):
         for j in range(i + 1, len(arcs)):
@@ -238,10 +249,7 @@ def enumerate_clusters(model: Model):
             if all(compat[c][nxt] for c in chosen):
                 yield chosen + (nxt,)
 
-    faces, _, _, complete = explore((), grow, lambda chosen: chosen, FACE_CEILING)
-    if not complete:
-        raise ValueError(f"the {model.kind} model with m={model.m} has more than "
-                         f"{FACE_CEILING} compatible arc sets")
+    faces = explore((), grow, lambda chosen: chosen, math.inf)[0]
     # purity: a compatible set of rank + 1 arcs would be grown from its first
     # rank arcs, so no face larger than the rank means every cluster is maximal
     if max(map(len, faces)) > n:

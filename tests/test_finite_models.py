@@ -158,6 +158,29 @@ def test_face_ceiling(monkeypatch):
         fm.enumerate_clusters(fm.Model("polygon", 7))
 
 
+def test_face_ceiling_is_the_face_count(monkeypatch):
+    # the refusal counts faces in closed form; each model is enumerated at a
+    # ceiling of exactly its compatible sets (cliques plus the empty set) and
+    # refused one below, before its arcs are enumerated
+    import networkx as nx
+
+    models = [fm.Model("polygon", m) for m in range(4, 10)] + [fm.Model("punctured", m) for m in range(3, 8)]
+    for model in models:
+        arcs = fm.enumerate_tagged_arcs(model)
+        G = nx.Graph()
+        G.add_nodes_from(range(len(arcs)))
+        G.add_edges_from((i, j) for i, a in enumerate(arcs) for j in range(i + 1, len(arcs))
+                         if fm.compatible(a, arcs[j]))
+        faces = 1 + sum(1 for _ in nx.enumerate_all_cliques(G))
+        monkeypatch.setattr(fm, "FACE_CEILING", faces)
+        fm.enumerate_clusters(model)
+        monkeypatch.setattr(fm, "FACE_CEILING", faces - 1)
+        monkeypatch.setattr(fm, "enumerate_tagged_arcs", None)
+        with pytest.raises(ValueError, match=f"more than {faces - 1} compatible arc sets"):
+            fm.enumerate_clusters(model)
+        monkeypatch.undo()
+
+
 def test_purity_all_maximal_sets_have_rank_size():
     import networkx as nx
 
