@@ -4,8 +4,8 @@ Polygon(m): an unpunctured m-gon with vertices 0..m-1 counterclockwise;
 arcs are chords between non-adjacent vertices. PuncturedPolygon(m): an
 m-gon with one central puncture; arcs are plain/notched radii plus chords
 carrying a bit for which side of the puncture they pass. Arc identity is
-global here, so compatibility, intersection numbers and full complex
-enumeration are closed-form.
+global here, so compatibility, intersection numbers and cluster counts
+are closed-form.
 """
 
 from __future__ import annotations
@@ -209,60 +209,58 @@ def compatible(a: ModelArc, b: ModelArc) -> bool:
     return True
 
 
-# the most compatible sets (faces of the cluster complex, the empty set
-# included) that `enumerate_clusters` holds. Polygon m=13 has 2,646,723 and
-# punctured m=9 1,088,289 (~18 s and ~9 s on a 2-vCPU VM); polygon m=14
-# (13,648,869) and punctured m=10 (6,036,473) are refused before any arc is
-# enumerated
-FACE_CEILING = 3_000_000
+# the most clusters `enumerate_clusters` lists. Polygon m=14 has 208,012 and
+# punctured m=10 136,136 (~11 s and ~6 s through the CLI on a 2-vCPU VM);
+# polygon m=15 (742,900) and punctured m=11 (520,676) are refused before any
+# arc is enumerated
+CLUSTER_CEILING = 250_000
 
 
 def enumerate_clusters(model: Model):
     """All maximal compatible sets (each of size rank) plus the flip graph.
 
     Returns (clusters, edges): clusters is a sorted tuple of sorted
-    arc-tuples, edges joins clusters sharing all but one arc. Each arc of a
+    arc-tuples, edges joins clusters sharing all but one arc. The clusters
+    are listed by a depth-first walk over the compatible sets grown in arc
+    index order; the arcs are sorted, so they come out sorted. Each arc of a
     cluster flips in exactly one way, so each rank - 1 subset of a cluster
     (a facet) lies in exactly two clusters, which is asserted; the edges are
-    read off the facets. A model with more than FACE_CEILING compatible sets
+    read off the facets. A model with more than CLUSTER_CEILING clusters
     raises ValueError, counted in closed form before any arc is enumerated.
     """
     n, m = model.rank, model.m
-    count = 0
-    for k in range(n + 1):  # sets of k arcs, summed until past the ceiling
-        if model.kind == "polygon":  # k non-crossing diagonals (Kirkman-Cayley)
-            count += math.comb(n, k) * math.comb(m + k - 1, k) // (k + 1)
-        else:  # k-faces of the type D_n cluster complex
-            count += math.comb(n, k) * math.comb(n + k - 1, k) + math.comb(n - 2, k) * math.comb(n + k, k + 2)
-        if count > FACE_CEILING:
-            raise ValueError(f"the {model.kind} model with m={m} has more than "
-                             f"{FACE_CEILING} compatible arc sets")
+    # the count grows with m, so walking m up from the smallest model stops
+    # after a few small counts however large m is
+    for s in range(3, m + 1):  # the Catalan number C(s - 2), or (3s - 2) / s * C(2s - 2, s - 1) for D_s
+        count = (math.comb(2 * s - 4, s - 2) // (s - 1) if model.kind == "polygon"
+                 else (3 * s - 2) * math.comb(2 * s - 2, s - 1) // s)
+        if count > CLUSTER_CEILING:
+            raise ValueError(f"the {model.kind} model with m={m} has more than {CLUSTER_CEILING} clusters")
     arcs = enumerate_tagged_arcs(model)
-    compat = [[False] * len(arcs) for _ in arcs]
-    for i, a in enumerate(arcs):
-        for j in range(i + 1, len(arcs)):
-            if compatible(a, arcs[j]):
-                compat[i][j] = compat[j][i] = True
+    # later[i]: the arcs of higher index compatible with arc i, as a bitmask
+    later = [sum(1 << j for j in range(i + 1, len(arcs)) if compatible(a, arcs[j])) for i, a in enumerate(arcs)]
+    clusters = []
 
-    def grow(chosen):  # each compatible set once, grown in index order
-        for nxt in range(chosen[-1] + 1 if chosen else 0, len(arcs)):
-            if all(compat[c][nxt] for c in chosen):
-                yield chosen + (nxt,)
+    def walk(chosen, candidates):  # candidates: later arcs compatible with all chosen
+        if len(chosen) == n:
+            # purity: a candidate left would make a compatible set of rank + 1
+            if candidates:
+                raise AssertionError("compatible set larger than the rank")
+            clusters.append(chosen)
+            return
+        while candidates.bit_count() >= n - len(chosen):  # else too few to reach the rank
+            i = (candidates & -candidates).bit_length() - 1
+            candidates ^= 1 << i
+            walk(chosen + (arcs[i],), candidates & later[i])
 
-    faces = explore((), grow, lambda chosen: chosen, math.inf)[0]
-    # purity: a compatible set of rank + 1 arcs would be grown from its first
-    # rank arcs, so no face larger than the rank means every cluster is maximal
-    if max(map(len, faces)) > n:
-        raise AssertionError("compatible set larger than the rank")
-    clusters = [tuple(arcs[i] for i in chosen) for chosen in faces if len(chosen) == n]
-    clusters = tuple(sorted(clusters))
+    walk((), (1 << len(arcs)) - 1)
     facets: dict[tuple[ModelArc, ...], list[int]] = {}
     for ci, cl in enumerate(clusters):
         for i in range(n):
             facets.setdefault(cl[:i] + cl[i + 1:], []).append(ci)
     if any(len(pair) != 2 for pair in facets.values()):
         raise AssertionError("a facet does not lie in exactly two clusters")
-    return clusters, tuple(sorted(tuple(pair) for pair in facets.values()))
+    return tuple(clusters), tuple(sorted(tuple(pair) for pair in facets.values()))
 
 
 # ---------------------------------------------------------------------------

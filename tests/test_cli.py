@@ -1,5 +1,8 @@
+import collections
+import copy
 import io
 import json
+import random
 
 import pytest
 
@@ -366,13 +369,13 @@ def test_clusters_cmd():
     assert data["error"] == "excluded-model"
 
 
-def test_clusters_past_the_face_ceiling_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(finite_models, "FACE_CEILING", 45)
+def test_clusters_past_the_cluster_ceiling_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(finite_models, "CLUSTER_CEILING", 14)
     code, data = run(["clusters", "--model", "polygon", "--m", "6"])
     assert (code, data["count"]) == (0, 14)
     assert run(["clusters", "--model", "polygon", "--m", "7"]) == (2, "")
     assert capsys.readouterr().err == \
-        "invalid input: the polygon model with m=7 has more than 45 compatible arc sets\n"
+        "invalid input: the polygon model with m=7 has more than 14 clusters\n"
 
 
 def test_unreadable_path_exits_2(tmp_path, capsys):
@@ -425,3 +428,95 @@ def test_repeated_main_calls_match_fresh_parsers():
     fresh = answers(fresh=True)
     assert ("exit", 2) in fresh
     assert answers(fresh=False) == fresh
+
+
+FUZZ_VALUES = ("0", "1", "2", "-1", "5", "15", "x", "")
+
+
+def _spots(doc):
+    """(container, key) of every value inside a JSON document."""
+    for k, v in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield doc, k
+        if isinstance(v, (dict, list)):
+            yield from _spots(v)
+
+
+def _fuzz_edit(rng, argv):
+    """One edit of argv, mostly a near-valid one inside a JSON document: a
+    number nudged, a value dropped, repeated or retyped; else a character of
+    a document dropped, or an option value replaced, dropped or added."""
+    docs = [i for i, a in enumerate(argv) if isinstance(a, (dict, list)) and a]
+    r = rng.random()
+    if docs and r < 0.8:
+        box, k = rng.choice(list(_spots(argv[rng.choice(docs)])))
+        r = rng.random()
+        if type(box[k]) is int and r < 0.7:
+            box[k] += rng.choice((-1, 1, 2))
+        elif isinstance(box, list) and r < 0.8:
+            box.insert(k, copy.deepcopy(box[k]))
+        elif r < 0.9:
+            del box[k]
+        else:
+            box[k] = rng.choice((None, "1", 1.5, True, [], {}, -1))
+    elif docs and r < 0.9:
+        i = rng.choice(docs)
+        text = json.dumps(argv[i])
+        j = rng.randrange(len(text))
+        argv[i] = text[:j] + text[j + 1:]
+    else:
+        j = rng.randrange(1, len(argv) + 1)
+        if j == len(argv) or rng.random() < 0.2:
+            argv.insert(j, rng.choice(("--bogus", "7")))
+        elif rng.random() < 0.3:
+            del argv[j]
+        else:
+            argv[j] = rng.choice(FUZZ_VALUES)
+
+
+def test_cli_fuzz_referee(tmp_path, monkeypatch, capsys):
+    # every subcommand on one to three edits of a valid call: each call ends
+    # with an exit code, never a traceback, and exit 2 explains itself on
+    # stderr with nothing on stdout. Sizes stay small: --m never reaches the
+    # 10-14 models that take seconds, and the matrices have too few vertices
+    # for canonical_form's factorial cases
+    monkeypatch.chdir(tmp_path)  # a document edited into a file name names no file
+    surf = {"genus": 0, "boundary": [3], "punctures": 1}
+    tri = run(["triangulate", "--surface", json.dumps(surf)])[1]
+    a3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    rows = {"n": 3, "rows": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]}
+    cycle = {"n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]}
+    dec = {"n": 3, "blocks": [{"kind": "II", "vertices": [0, 1, 2]}], "bare": []}
+    calls = [
+        ["surface", "classify", surf],
+        ["triangulate", "--surface", surf],
+        ["flip", "--triangulation", tri, "--arc", "1"],
+        ["b-matrix", "--triangulation", tri],
+        ["b-matrix", "--surface", surf],
+        ["tagged-bfs", "--surface", {"genus": 0, "boundary": [2], "punctures": 1}, "--max-nodes", "40"],
+        ["mutation-class", "--matrix", a3, "--max-size", "50", "--full"],
+        ["recognize-type", "--matrix", cycle],
+        ["corank", "--matrix", rows],
+        ["is-surface-matrix", cycle],
+        ["block-assemble", dec],
+        ["denominators", "--matrix", rows, "--path", "0,1,2"],
+        ["cluster-vars", "--matrix", a3, "--limit", "10"],
+        ["clusters", "--model", "punctured", "--m", "4"],
+    ]
+    rng = random.Random(7)
+    codes = collections.Counter()
+    for t in range(280):
+        argv = copy.deepcopy(calls[t % len(calls)])
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            _fuzz_edit(rng, argv)
+        argv = [a if isinstance(a, str) else json.dumps(a) for a in argv]
+        out = io.StringIO()
+        try:
+            code = cli.main(argv, out=out)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        codes[code] += 1
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert err.strip() and out.getvalue() == "", argv
+    assert {0, 1, 2} <= set(codes), codes

@@ -149,18 +149,18 @@ def test_enumerate_clusters_asserts_two_clusters_per_facet(monkeypatch):
         fm.enumerate_clusters(P5)
 
 
-def test_face_ceiling(monkeypatch):
-    # polygon m=6 has 45 compatible sets, the empty set included, and m=7 has 197
-    monkeypatch.setattr(fm, "FACE_CEILING", 45)
+def test_cluster_ceiling(monkeypatch):
+    # polygon m=6 has 14 clusters and m=7 has 42
+    monkeypatch.setattr(fm, "CLUSTER_CEILING", 14)
     clusters, edges = fm.enumerate_clusters(fm.Model("polygon", 6))
     assert (len(clusters), len(edges)) == (14, 21)
-    with pytest.raises(ValueError, match="more than 45 compatible arc sets"):
+    with pytest.raises(ValueError, match="more than 14 clusters"):
         fm.enumerate_clusters(fm.Model("polygon", 7))
 
 
-def test_face_ceiling_is_the_face_count(monkeypatch):
-    # the refusal counts faces in closed form; each model is enumerated at a
-    # ceiling of exactly its compatible sets (cliques plus the empty set) and
+def test_cluster_ceiling_is_the_cluster_count(monkeypatch):
+    # the refusal counts clusters in closed form; each model is enumerated at
+    # a ceiling of exactly its maximal cliques of the compatibility graph and
     # refused one below, before its arcs are enumerated
     import networkx as nx
 
@@ -171,14 +171,32 @@ def test_face_ceiling_is_the_face_count(monkeypatch):
         G.add_nodes_from(range(len(arcs)))
         G.add_edges_from((i, j) for i, a in enumerate(arcs) for j in range(i + 1, len(arcs))
                          if fm.compatible(a, arcs[j]))
-        faces = 1 + sum(1 for _ in nx.enumerate_all_cliques(G))
-        monkeypatch.setattr(fm, "FACE_CEILING", faces)
-        fm.enumerate_clusters(model)
-        monkeypatch.setattr(fm, "FACE_CEILING", faces - 1)
+        count = sum(1 for _ in nx.find_cliques(G))
+        monkeypatch.setattr(fm, "CLUSTER_CEILING", count)
+        assert len(fm.enumerate_clusters(model)[0]) == count
+        monkeypatch.setattr(fm, "CLUSTER_CEILING", count - 1)
         monkeypatch.setattr(fm, "enumerate_tagged_arcs", None)
-        with pytest.raises(ValueError, match=f"more than {faces - 1} compatible arc sets"):
+        with pytest.raises(ValueError, match=f"more than {count - 1} clusters"):
             fm.enumerate_clusters(model)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("model", [fm.Model("polygon", 200), fm.Model("punctured", 10 ** 12)],
+                         ids=["polygon-200", "punctured-10**12"])
+def test_huge_models_are_refused_before_any_arc(monkeypatch, model):
+    monkeypatch.setattr(fm, "enumerate_tagged_arcs", None)
+    with pytest.raises(ValueError, match=f"m={model.m} has more than {fm.CLUSTER_CEILING} clusters"):
+        fm.enumerate_clusters(model)
+
+
+def test_enumerate_clusters_asserts_purity(monkeypatch):
+    # one crossing pair of P5 read as compatible makes a set of three arcs
+    a, b = fm.chord(P5, 0, 2), fm.chord(P5, 1, 3)
+    assert not fm.compatible(a, b)
+    compatible = fm.compatible
+    monkeypatch.setattr(fm, "compatible", lambda x, y: {x, y} == {a, b} or compatible(x, y))
+    with pytest.raises(AssertionError, match="larger than the rank"):
+        fm.enumerate_clusters(P5)
 
 
 def test_purity_all_maximal_sets_have_rank_size():
