@@ -18,7 +18,7 @@ import itertools
 from collections import Counter, namedtuple
 
 from ._explore import UnionFind
-from .mutation import ExchangeMatrix, _is_int_list, _require_fields
+from .mutation import ExchangeMatrix, _is_int_list, _require_fields, from_edges
 from .surface import MarkedSurface
 from .trimap import IdealTriangulation, _from_sides
 
@@ -70,14 +70,8 @@ class BlockDecomposition(namedtuple("BlockDecomposition", "n blocks bare", defau
 
 def assemble_matrix(d: BlockDecomposition) -> ExchangeMatrix:
     """Net signed adjacency of the assembled graph (with cancellation)."""
-    rows = [[0] * d.n for _ in range(d.n)]
-    for pl in d.blocks:
-        _, _, edges = BLOCK_SPECS[pl.kind]
-        for a, b in edges:
-            u, v = pl.vertices[a], pl.vertices[b]
-            rows[u][v] += 1
-            rows[v][u] -= 1
-    return ExchangeMatrix.from_rows(rows)
+    return from_edges(d.n, [(pl.vertices[a], pl.vertices[b])
+                            for pl in d.blocks for a, b in BLOCK_SPECS[pl.kind][2]])
 
 
 def _usage_roles(d: BlockDecomposition):
@@ -127,7 +121,7 @@ def _component_count(n: int, placements) -> int:
 
 
 class BudgetExhausted(RuntimeError):
-    """The block search made more calls than its budget allows: undecided."""
+    """The block search ran out of its call budget or of recursion depth: undecided."""
 
 
 # the most `_Search._search` calls one block search may make
@@ -390,10 +384,8 @@ class _Search:
             raise BudgetExhausted(f"block search budget of {SEARCH_BUDGET} calls exhausted")
         if not self.positive:
             return self._close_up()
-        if not self._degree_feasible():
-            return None
-        key = self._state_key()
-        if key in self.failed:
+        # the key holds two n x n tables, so no frame keeps it while it recurses
+        if not self._degree_feasible() or self._state_key() in self.failed:
             return None
         _, u, v = self._pick_demand(self.demands())
         for _, kind, vertices in self.placements_covering(u, v):
@@ -403,7 +395,7 @@ class _Search:
             if found is not None:
                 return found
             self.unplace(pl)
-        self.failed.add(key)
+        self.failed.add(self._state_key())  # every place undone: the entry state
         return None
 
     def _close_up(self):
@@ -431,11 +423,14 @@ def decompose(B: ExchangeMatrix) -> BlockDecomposition | None:
 
     Entries outside {0, +-1, +-2} fail immediately. The witness, when it
     exists, assembles (after cancelling opposite pairs) to exactly B. A search
-    that makes more than `SEARCH_BUDGET` calls raises BudgetExhausted: undecided.
+    past `SEARCH_BUDGET` calls or the recursion limit raises BudgetExhausted.
     """
     if not B.entries_bounded_by(2):
         return None
-    d = _Search(B)._search()
+    try:
+        d = _Search(B)._search()
+    except RecursionError:
+        raise BudgetExhausted("block search ran out of recursion depth") from None
     if d is None:
         return None
     validate_decomposition(d)

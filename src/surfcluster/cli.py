@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 domain rejection (excluded surface, empty marking,
 non-surface matrix, unknown type, a cluster variable whose exponents leave
 the packed range), 2 usage error, 3 undecided (the block search of
-is-surface-matrix or recognize-type ran out of budget). Rejections and
-undecided answers print a machine readable {"error": ..., "detail": ...}
-object; an unknown type prints {"type": "Unknown"}.
+is-surface-matrix or recognize-type ran out of its call budget or of
+recursion depth). Rejections and undecided answers print a machine readable
+{"error": ..., "detail": ...} object; an unknown type prints {"type": "Unknown"}.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from ._explore import explore
-from .mutation import ExchangeMatrix, mutate
+from .mutation import ExchangeMatrix, from_edges, mutate
 
 
 class ExcludedModel(ValueError):
@@ -277,20 +277,9 @@ def root_cluster(model: Model) -> tuple[ModelArc, ...]:
 def root_matrix(model: Model) -> ExchangeMatrix:
     """Signed adjacency matrix of the root cluster, rows in its arc order."""
     m = model.m
-    if model.kind == "polygon":
-        n = m - 3
-        rows = [[0] * n for _ in range(n)]
-        for t in range(n - 1):  # fan triangles pair consecutive diagonals
-            rows[t][t + 1] += 1
-            rows[t + 1][t] -= 1
-        return ExchangeMatrix.from_rows(rows)
-    n = m
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        j = (i + 1) % m
-        rows[i][j] += 1
-        rows[j][i] -= 1
-    return ExchangeMatrix.from_rows(rows)
+    if model.kind == "polygon":  # fan triangles pair consecutive diagonals
+        return from_edges(m - 3, [(t, t + 1) for t in range(m - 4)])
+    return from_edges(m, [(i, (i + 1) % m) for i in range(m)])  # a wheel
 
 
 def exchange_matrices(model: Model, clusters=None, edges=None):

@@ -100,7 +100,7 @@ def zero_matrix(n: int) -> ExchangeMatrix:
 
 
 def from_edges(n: int, edges) -> ExchangeMatrix:
-    """Build B from weighted quiver edges (i, j, w): w arrows from i to j."""
+    """Build B from quiver edges (i, j, w), w arrows i -> j, or (i, j) for one."""
     rows = [[0] * n for _ in range(n)]
     for edge in edges:
         if len(edge) == 2:

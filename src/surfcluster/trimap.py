@@ -33,7 +33,7 @@ surface off the gluing.
 from __future__ import annotations
 
 from ._explore import UnionFind, explore
-from .mutation import QUIVER_MAX_N, ExchangeMatrix, _is_int_list, _require_fields
+from .mutation import QUIVER_MAX_N, ExchangeMatrix, _is_int_list, _require_fields, from_edges
 from .surface import MarkedSurface, validate_surface
 
 
@@ -467,23 +467,23 @@ def signed_adjacency(T: IdealTriangulation) -> ExchangeMatrix:
     """
     n = T.num_arcs
     fold = T.fold_map()
+    # pre[e] lists the arcs a side e stands for: an arc that is not folded
+    # stands for itself, and a loop also for the arc folded inside it.
+    # Boundary segments are no key, so they add no arrow.
     pre: dict[int, list[int]] = {}
     for a in range(n):
-        img = fold.get(a, a)
-        pre.setdefault(img, []).append(a)
-    rows = [[0] * n for _ in range(n)]
+        pre.setdefault(fold.get(a, a), []).append(a)
+    arrows = []
     E = T.edges
     for p in range(0, len(E), 3):
         x, y, z = E[p:p + 3]
         if x == y or y == z or z == x:  # self-folded
             continue
-        for u, v in ((x, y), (y, z), (z, x)):
-            if u < n and v < n:
-                for a in pre.get(u, ()):
-                    for bb in pre.get(v, ()):
-                        rows[a][bb] -= 1
-                        rows[bb][a] += 1
-    return ExchangeMatrix.from_rows(rows)
+        for u, v in ((x, y), (y, z), (z, x)):  # arrows from v's arcs to u's
+            for a in pre.get(u, ()):
+                for bb in pre.get(v, ()):
+                    arrows.append((bb, a))
+    return from_edges(n, arrows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import contextlib
+import sys
+import traceback
+
 import pytest
 
 # battery of validated surfaces (g <= 2, b <= 3, p <= 3, c_i <= 4) used by
@@ -35,6 +39,18 @@ def quiver_edges(B):
             if B[i, j] > 0:
                 out.append((i, j, B[i, j]))
     return out
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to the current stack depth plus `frames`,
+    and restore it on exit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(sum(1 for _ in traceback.walk_stack(None)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 @pytest.fixture(scope="session")

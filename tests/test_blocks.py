@@ -1,10 +1,11 @@
 import bisect
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import quiver_edges
+from conftest import quiver_edges, recursion_headroom
 from surfcluster import blocks as bl, mutation as mu, surface as sf, trimap as tm
 
 
@@ -460,3 +461,22 @@ def test_search_call_counts(B, decomposable, calls, monkeypatch):
     state = bl._Search(B)
     assert (state._search() is not None) == decomposable
     assert state.calls == calls
+
+
+def test_search_memory_does_not_grow_with_depth():
+    # a chain places one block per recursion level; a state key (two n x n
+    # tables) held in every frame made the peak grow as depth * n^2
+    B = mu.make_quiver("A", 200)
+    tracemalloc.start()
+    try:
+        assert bl.decompose(B) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_search_out_of_depth_is_undecided():
+    B = mu.make_quiver("A", 300)
+    with recursion_headroom(150), pytest.raises(bl.BudgetExhausted, match="recursion depth"):
+        bl.decompose(B)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import recursion_headroom
 from surfcluster import blocks, cli, finite_models, mutation
 
 
@@ -250,7 +251,16 @@ def test_empty_marking_has_one_error_code():
                         "detail": "every boundary component needs at least one marked point"}
 
 
+def _out_of_depth(command):
+    # a chain places one block per recursion level
+    with recursion_headroom(150):
+        code, data = run(command + [json.dumps(mutation.make_quiver("A", 300).to_json())])
+    assert code == 3
+    assert data == {"error": "undecided", "detail": "block search ran out of recursion depth"}
+
+
 def test_is_surface_matrix_undecided(monkeypatch):
+    _out_of_depth(["is-surface-matrix"])
     monkeypatch.setattr(blocks, "SEARCH_BUDGET", 1)
     code, data = run(["is-surface-matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
     assert code == 3
@@ -259,6 +269,7 @@ def test_is_surface_matrix_undecided(monkeypatch):
 
 def test_recognize_type_undecided(monkeypatch):
     # an exhausted block search is undecided, not a reason to try the catalog
+    _out_of_depth(["recognize-type", "--matrix"])
     monkeypatch.setattr(blocks, "SEARCH_BUDGET", 1)
     code, data = run(["recognize-type", "--matrix", '{"n":2,"rows":[[0,1],[-1,0]]}'])
     assert code == 3
@@ -341,6 +352,14 @@ def test_block_assemble_cmd():
     code, data = run(["block-assemble", '{"n":1,"blocks":[],"bare":[0,0]}'])
     assert code == 1
     assert data == {"error": "invalid-decomposition", "detail": "bare vertices must be distinct"}
+    chain = [{"kind": "I", "vertices": [0, 1]}, {"kind": "I", "vertices": [1, 2]}]
+    for dec, detail in (
+            ({"n": 4, "blocks": chain + [{"kind": "I", "vertices": [1, 3]}], "bare": []},
+             "vertex 1 lies in 3 blocks"),
+            ({"n": 3, "blocks": chain, "bare": [2]}, "bare vertex 2 is also covered by a block")):
+        code, data = run(["block-assemble", json.dumps(dec)])
+        assert code == 1
+        assert data == {"error": "invalid-decomposition", "detail": detail}
 
 
 def test_denominators_cmd():
@@ -348,6 +367,11 @@ def test_denominators_cmd():
                       "--path", "0,1"])
     assert code == 0
     assert data["denominator_vectors"] == [[1, 0], [1, 1]]
+    for path, k in (("0,2", 2), ("-1", -1)):
+        code, data = run(["denominators", "--matrix", '{"n":2,"rows":[[0,1],[-1,0]]}',
+                          f"--path={path}"])
+        assert code == 1
+        assert data == {"error": "bad-path", "detail": f"mutation index {k} out of range"}
 
 
 def test_cluster_vars_cmd():

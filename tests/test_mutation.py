@@ -243,10 +243,16 @@ def test_make_quiver_shapes():
     octa = mu.make_quiver("Octahedron")
     assert octa.n == 6
     assert all(sum(1 for x in row if x) == 4 for row in octa.rows)
+
+
+@pytest.mark.parametrize("spec", [
+    ("A", 0), ("Nope", 3), ("D", 3), ("E", 5), ("AffineA", 1, 2), ("AffineD", 3), ("AffineE", 9),
+    ("ExtAffE", 5), ("Gamma2", 0, 1), ("Gamma3", 1, 1, 0), ("Grid", 1, 3), ("Octahedron", 1),
+    ("A", 1, 2),
+], ids=lambda spec: "-".join(map(str, spec)))
+def test_make_quiver_rejects(spec):
     with pytest.raises(mu.BadSpec):
-        mu.make_quiver("A", 0)
-    with pytest.raises(mu.BadSpec):
-        mu.make_quiver("Nope", 3)
+        mu.make_quiver(*spec)
 
 
 def test_grid_33_is_oriented_4_cycle():
