@@ -6,6 +6,9 @@ the packed range), 2 usage error, 3 undecided (the block search of
 is-surface-matrix or recognize-type ran out of its call budget or of
 recursion depth). Rejections and undecided answers print a machine readable
 {"error": ..., "detail": ...} object; an unknown type prints {"type": "Unknown"}.
+
+Output is JSON indented by 2 with sorted keys, byte for byte what
+json.dumps(data, indent=2, sort_keys=True) gives, written by `_encode`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, repeat
 
 from . import blocks, cluster, finite_models, mutation, surface, tagged, trimap
 
@@ -30,8 +34,52 @@ def _read_json_arg(value: str) -> dict:
     return data
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, pad=""):
+    """The text of json.dumps(value, indent=2, sort_keys=True), each line
+    after the first indented by `pad`. Takes dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError. A list
+    of ints, of strings or of non-empty int rows is joined in one call."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {str}:
+            body = sep.join(map(_escape, value))
+        elif kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            deeper = inner + "  "
+            rows = map((",\n" + deeper).join, map(map, repeat(int.__repr__), value))
+            body = "[\n" + deeper + f"\n{inner}]{sep}[\n{deeper}".join(rows) + "\n" + inner + "]"
+        else:
+            body = sep.join(map(_encode, value, repeat(inner)))
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = sorted(value)
+        items = map("{}: {}".format, map(_escape, keys), map(_encode, map(value.__getitem__, keys), repeat(inner)))
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(data, out):
-    out.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    out.write(_encode(data) + "\n")
 
 
 def _fail(code: str, detail: str, out) -> int:

@@ -454,6 +454,73 @@ def test_repeated_main_calls_match_fresh_parsers():
     assert answers(fresh=False) == fresh
 
 
+A3 = '{"n": 3, "edges": [[0, 1], [1, 2]]}'
+CYCLE = '{"n": 4, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 0, 1]]}'
+E6 = '{"n": 6, "edges": [[0, 1, 1], [1, 2, 1], [2, 3, 1], [3, 4, 1], [2, 5, 1]]}'
+PENTAGON = '{"genus": 0, "boundary": [5], "punctures": 0}'
+
+
+OUTPUT_CALLS = [
+    (["surface", "classify", '{"genus": 0, "boundary": [3], "punctures": 1}'], 0),
+    (["surface", "classify", '{"genus": 0, "boundary": [], "punctures": 3}'], 1),
+    (["triangulate", "--surface", PENTAGON], 0),
+    (["flip", "--triangulation", "FAN", "--arc", "1"], 0),
+    (["flip", "--triangulation", "FAN", "--arc", "7"], 1),
+    (["b-matrix", "--surface", '{"genus": 1, "boundary": [], "punctures": 2}'], 0),
+    (["tagged-bfs", "--surface", '{"genus": 0, "boundary": [2], "punctures": 1}'], 0),
+    (["mutation-class", "--matrix", A3, "--full"], 0),
+    (["mutation-class", "--matrix", A3], 0),
+    (["recognize-type", "--matrix", CYCLE], 0),
+    (["recognize-type", "--matrix", '{"n": 2, "edges": [[0, 1, 3]]}'], 1),
+    (["corank", "--matrix", CYCLE], 0),
+    (["is-surface-matrix", CYCLE], 0),
+    (["is-surface-matrix", E6], 1),
+    (["block-assemble", '{"n": 3, "blocks": [{"kind": "II", "vertices": [0, 1, 2]}], "bare": []}'], 0),
+    (["block-assemble", '{"n": 1, "blocks": [], "bare": [0, 0]}'], 1),
+    (["denominators", "--matrix", A3, "--path", "0,1,2,0"], 0),
+    (["denominators", "--matrix", A3, "--path", ""], 0),
+    (["denominators", "--matrix", A3, "--path", "3"], 1),
+    (["cluster-vars", "--matrix", A3], 0),
+    (["cluster-vars", "--matrix", '{"n": 2, "rows": [[0, 30000], [-30000, 0]]}'], 1),
+    (["clusters", "--model", "punctured", "--m", "4"], 0),
+    (["clusters", "--model", "polygon", "--m", "3"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", OUTPUT_CALLS, ids=[f"{a[0]}-exit{c}" for a, c in OUTPUT_CALLS])
+def test_output_is_the_bytes_of_json_dumps(argv, code):
+    # every subcommand, answers and error objects alike, writes exactly what
+    # json.dumps(indent=2, sort_keys=True) writes, plus one newline
+    if "FAN" in argv:
+        argv = [json.dumps(run(["triangulate", "--surface", PENTAGON])[1]) if a == "FAN" else a
+                for a in argv]
+    out = io.StringIO()
+    assert cli.main(argv, out=out) == code
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}}, [[]], [{}],
+    [[1, True], [False, 2]], [True, 1], [1, [2, 3], 4], [[1, 2], 3], [[1, 2], []], [[1], [[2]]],
+    [(1, 2), (3, 4)], ((1, 2), [3, 4]), [("a", 1), ("b",)], [["a", "b"], ["c"]],
+    ["caf\u00e9", "\u00e9t\u00e9", "\U0001f600", "\x00\x1f\x7f", 'say "no" \\ \t \n'],
+    {"caf\u00e9": ["\u2028"], "\x01": None, "": ""},
+    [-1, 0, -(2 ** 70), 2 ** 64, 2 ** 64 + 1], [[-3, 2 ** 100], [0, -(2 ** 64)]],
+    [None, True, False, "s", 1, [None], {"k": [True]}], "x", 7, True, None,
+], ids=repr)
+def test_encode_is_json_dumps(value):
+    assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, [1, 2.0], [[1, 2], [3.0]], {"a": {3}}, [frozenset()]],
+                         ids=repr)
+def test_encode_rejects_floats_and_sets(value):
+    # json writes floats, which no subcommand outputs; a set fails in both
+    with pytest.raises(TypeError):
+        cli._encode(value)
+
+
 FUZZ_VALUES = ("0", "1", "2", "-1", "5", "15", "x", "")
 
 

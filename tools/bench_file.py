@@ -1,6 +1,6 @@
 """Write BENCH_<pr>.json: the benchmark on a parent commit and on HEAD.
 
-    python3 tools/bench_file.py --pr N --parent REV
+    python3 tools/bench_file.py --pr N --parent REV [--pairs K --seed S]
 
 Run from anywhere inside a git checkout whose tracked files match HEAD.
 Both sides are unpacked the same way, `git archive REV` and `git archive
@@ -12,6 +12,13 @@ The last two lines of each run (the detail line, with the commit, the
 source digest, Python and nproc, and the summary line) are written, parsed,
 to BENCH_<pr>.json at the root of the checkout as
 runs.parent|change.<workload>.{detail, summary}.
+
+With --pairs K, each workload then runs K more pairs on seed S (default 7)
+from the same two directories, the parent first in even pairs and the
+change first in odd ones. For each end-to-end metric of BENCHMARK.json,
+pairs.workloads.<workload>.<metric> holds the samples of each side, their
+medians and quartiles, and how many pairs the change won (`pair_summary`).
+Bounds are read for the direction of each metric only; none is applied.
 
 Exits 1, writing nothing, if a tracked file differs from HEAD or a run
 fails, is not `correct` or has failed operations.
@@ -25,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,28 +58,66 @@ def unpack(rev: str, dest: Path) -> None:
     (dest / ".git" / "HEAD").write_text(sha + "\n")
 
 
-def run(checkout: Path, workload: str) -> dict:
+def run(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SECONDS)]
+           "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"bench_file: {workload} in {checkout} exited {proc.returncode}: "
                          f"{proc.stderr.strip()[-2000:]}")
-    return {"detail": json.loads(lines[-2]), "summary": json.loads(lines[-1])}
+    result = {"detail": json.loads(lines[-2]), "summary": json.loads(lines[-1])}
+    summary = result["summary"]
+    print(f"{checkout.name} {workload} seed {seed}: correct={summary['correct']} "
+          f"failed={summary['failed']} wall_s={summary['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+    return result
+
+
+def bad(result: dict) -> bool:
+    return result["summary"]["correct"] is not True or bool(result["summary"]["failed"])
+
+
+def pair_summary(parent: list, change: list, better: str) -> dict:
+    """Pair i is (parent[i], change[i]); `better` is "lower" or "higher".
+
+    The change wins a pair when its sample is strictly better; a tie counts
+    for neither side. Quartiles are the inclusive first and third of
+    statistics.quantiles, as perfbench/run.py takes percentiles. The gain is
+    beyond the parent's IQR when the change's median is better than the
+    parent's by more than the parent's interquartile range."""
+    sign = 1 if better == "lower" else -1
+    medians = {"parent": statistics.median(parent), "change": statistics.median(change)}
+    quartiles = {side: statistics.quantiles(samples, n=4, method="inclusive")[::2]
+                 for side, samples in (("parent", parent), ("change", change))}
+    q1, q3 = quartiles["parent"]
+    return {
+        "parent": parent,
+        "change": change,
+        "median": medians,
+        "quartiles": quartiles,
+        "change_won": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+        "ties": sum(p == c for p, c in zip(parent, change)),
+        "beyond_parent_iqr": sign * (medians["parent"] - medians["change"]) > q3 - q1,
+    }
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--parent", required=True, help="the parent commit (any git revision)")
+    ap.add_argument("--pairs", type=int, default=0, help="alternating pairs per workload, at least 2")
+    ap.add_argument("--seed", type=int, default=SEED, help="the seed of the pairs")
     args = ap.parse_args()
+    if args.pairs == 1 or args.pairs < 0:
+        ap.error("--pairs takes at least 2 pairs")
     if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode != 0:
         print("bench_file: tracked files differ from HEAD; commit them first", file=sys.stderr)
         return 1
 
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     runs = {"parent": {}, "change": {}}
+    paired = {w: [] for w in workloads}   # per workload, one {side: result} per pair
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
@@ -79,16 +125,18 @@ def main() -> int:
             unpack(rev, checkouts[side])
         for workload in workloads:
             for side, checkout in checkouts.items():
-                runs[side][workload] = result = run(checkout, workload)
-                summary = result["summary"]
-                print(f"{side} {workload}: correct={summary['correct']} failed={summary['failed']} "
-                      f"wall_s={summary['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+                runs[side][workload] = run(checkout, workload, SEED)
+        for workload in workloads:
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                paired[workload].append({side: run(checkouts[side], workload, args.seed) for side in order})
 
-    bad = [f"{side} {workload}" for side, by_workload in runs.items()
-           for workload, result in by_workload.items()
-           if result["summary"]["correct"] is not True or result["summary"]["failed"]]
-    if bad:
-        print("bench_file: not correct or with failed operations: " + ", ".join(bad), file=sys.stderr)
+    failed = [f"{side} {workload}" for side, by_workload in runs.items()
+              for workload, result in by_workload.items() if bad(result)]
+    failed += [f"{side} {workload} pair {i}" for workload, pairs in paired.items()
+               for i, pair in enumerate(pairs) for side, result in pair.items() if bad(result)]
+    if failed:
+        print("bench_file: not correct or with failed operations: " + ", ".join(failed), file=sys.stderr)
         return 1
     bench = {
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS} "
@@ -98,6 +146,18 @@ def main() -> int:
                 f"archive and run back to back per workload, {datetime.date.today().isoformat()}",
         "runs": runs,
     }
+    if args.pairs:
+        def samples(pairs, side, metric):
+            return [pair[side]["summary"]["metrics"][metric]["value"] for pair in pairs]
+
+        bench["pairs"] = {
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS}, "
+                       f"{args.pairs} pairs per workload after the single runs, the parent first in even pairs",
+            "workloads": {workload: {m["name"]: pair_summary(samples(pairs, "parent", m["name"]),
+                                                             samples(pairs, "change", m["name"]), m["better"])
+                                     for m in benchmark["end_to_end"]}
+                          for workload, pairs in paired.items()},
+        }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
