@@ -38,10 +38,11 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def _encode(value, pad=""):
-    """The text of json.dumps(value, indent=2, sort_keys=True), each line
-    after the first indented by `pad`. Takes dicts with str keys, lists,
-    tuples, str, int, bool and None; anything else raises TypeError. A list
-    of ints, of strings or of non-empty int rows is joined in one call."""
+    """The text of json.dumps(value, indent=2, sort_keys=True) for a value
+    written on a line indented by `pad`. Takes dicts with str keys, lists,
+    tuples, str, int, bool and None, and raises TypeError on anything else.
+    A list of ints, of strings or of non-empty int rows is written by one
+    str.join, with no Python call per element."""
     if isinstance(value, str):
         return _escape(value)
     if value is None:
@@ -63,6 +64,7 @@ def _encode(value, pad=""):
         elif kinds == {str}:
             body = sep.join(map(_escape, value))
         elif kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+            # the text between two rows' entries closes one row and opens the next
             deeper = inner + "  "
             rows = map((",\n" + deeper).join, map(map, repeat(int.__repr__), value))
             body = "[\n" + deeper + f"\n{inner}]{sep}[\n{deeper}".join(rows) + "\n" + inner + "]"
