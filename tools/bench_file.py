@@ -18,7 +18,7 @@ from the same two directories, the parent first in even pairs and the
 change first in odd ones. For each end-to-end metric of BENCHMARK.json,
 pairs.workloads.<workload>.<metric> holds the samples of each side, their
 medians and quartiles, and how many pairs the change won (`pair_summary`).
-Bounds are read for the direction of each metric only; none is applied.
+BENCHMARK.json gives each metric's direction; its bounds are not applied.
 
 Exits 1, writing nothing, if a tracked file differs from HEAD or a run
 fails, is not `correct` or has failed operations.
