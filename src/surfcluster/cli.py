@@ -64,10 +64,10 @@ def _encode(value, pad=""):
         elif kinds == {str}:
             body = sep.join(map(_escape, value))
         elif kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
-            # the text between two rows' entries closes one row and opens the next
             deeper = inner + "  "
             rows = map((",\n" + deeper).join, map(map, repeat(int.__repr__), value))
-            body = "[\n" + deeper + f"\n{inner}]{sep}[\n{deeper}".join(rows) + "\n" + inner + "]"
+            between = f"\n{inner}]{sep}[\n{deeper}"  # closes one row and opens the next
+            body = f"[\n{deeper}" + between.join(rows) + f"\n{inner}]"
         else:
             body = sep.join(map(_encode, value, repeat(inner)))
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -202,7 +202,7 @@ def cmd_denominators(args, out) -> int:
             return _fail("bad-path", f"mutation index {k} out of range", out)
         D = cluster.tropical_mutate(D, cur, k)
         cur = mutation.mutate(cur, k)
-    _emit({"path": path, "denominator_vectors": [list(v) for v in D]}, out)
+    _emit({"path": path, "denominator_vectors": D}, out)
     return 0
 
 
@@ -218,7 +218,7 @@ def cmd_cluster_vars(args, out) -> int:
             "seeds_seen": census.seeds_seen,
             "complete": census.complete,
             "variables": [str(v) for v in census.variables],
-            "denominator_vectors": [list(cluster.denominator_vector(v)) for v in census.variables],
+            "denominator_vectors": [cluster.denominator_vector(v) for v in census.variables],
         },
         out,
     )
@@ -236,7 +236,7 @@ def cmd_clusters(args, out) -> int:
             "model": {"kind": model.kind, "m": model.m, "rank": model.rank},
             "count": len(cls),
             "clusters": [[str(a) for a in cl] for cl in cls],
-            "edges": [list(e) for e in edges],
+            "edges": edges,
         },
         out,
     )

@@ -1,6 +1,6 @@
 """Write BENCH_<pr>.json: the benchmark on a parent commit and on HEAD.
 
-    python3 tools/bench_file.py --pr N --parent REV [--pairs K --seed S]
+    python3 tools/bench_file.py --pr N --parent REV [--seed S]
 
 Run from anywhere inside a git checkout whose tracked files match HEAD.
 Both sides are unpacked the same way, `git archive REV` and `git archive
@@ -13,11 +13,13 @@ source digest, Python and nproc, and the summary line) are written, parsed,
 to BENCH_<pr>.json at the root of the checkout as
 runs.parent|change.<workload>.{detail, summary}.
 
-With --pairs K, each workload then runs K more pairs on seed S (default 7)
+With --seed S, each workload then runs PAIRS = 10 more pairs on seed S
 from the same two directories, the parent first in even pairs and the
-change first in odd ones. For each end-to-end metric of BENCHMARK.json,
-pairs.workloads.<workload>.<metric> holds the samples of each side, their
-medians and quartiles, and how many pairs the change won (`pair_summary`).
+change first in odd ones. A claim needs those ten pairs on a seed other
+than 7 that was not used while building or sizing the change. For each
+end-to-end metric of BENCHMARK.json, pairs.workloads.<workload>.<metric>
+holds the samples of each side, their medians and quartiles, and how many
+pairs the change won (`pair_summary`).
 BENCHMARK.json gives each metric's direction; its bounds are not applied.
 
 Exits 1, writing nothing, if a tracked file differs from HEAD or a run
@@ -41,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 SECONDS = 6
+PAIRS = 10
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -105,11 +108,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--parent", required=True, help="the parent commit (any git revision)")
-    ap.add_argument("--pairs", type=int, default=0, help="alternating pairs per workload, at least 2")
-    ap.add_argument("--seed", type=int, default=SEED, help="the seed of the pairs")
+    ap.add_argument("--seed", type=int, help=f"run {PAIRS} alternating pairs per workload on this seed")
     args = ap.parse_args()
-    if args.pairs == 1 or args.pairs < 0:
-        ap.error("--pairs takes at least 2 pairs")
     if subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode != 0:
         print("bench_file: tracked files differ from HEAD; commit them first", file=sys.stderr)
         return 1
@@ -126,8 +126,8 @@ def main() -> int:
         for workload in workloads:
             for side, checkout in checkouts.items():
                 runs[side][workload] = run(checkout, workload, SEED)
-        for workload in workloads:
-            for i in range(args.pairs):
+        for workload in workloads if args.seed is not None else ():
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 paired[workload].append({side: run(checkouts[side], workload, args.seed) for side in order})
 
@@ -146,13 +146,13 @@ def main() -> int:
                 f"archive and run back to back per workload, {datetime.date.today().isoformat()}",
         "runs": runs,
     }
-    if args.pairs:
+    if args.seed is not None:
         def samples(pairs, side, metric):
             return [pair[side]["summary"]["metrics"][metric]["value"] for pair in pairs]
 
         bench["pairs"] = {
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {SECONDS}, "
-                       f"{args.pairs} pairs per workload after the single runs, the parent first in even pairs",
+                       f"{PAIRS} pairs per workload after the single runs, the parent first in even pairs",
             "workloads": {workload: {m["name"]: pair_summary(samples(pairs, "parent", m["name"]),
                                                              samples(pairs, "change", m["name"]), m["better"])
                                      for m in benchmark["end_to_end"]}
